@@ -23,7 +23,7 @@ from .graph import (
     max_degree,
     min_degree,
 )
-from .solvers import DEFAULT_CAP, CapExceededError, kappa, kappa_prime
+from .solvers import DEFAULT_CAP, _check_cap, _gosper_next, kappa, kappa_prime
 
 __all__ = [
     "PerfectCode",
@@ -60,12 +60,6 @@ def is_perfect_code(g: Graph, c: VertexSet) -> bool:
     return True
 
 
-def _gosper_next(m: int) -> int:
-    u = m & -m
-    v = m + u
-    return v | (((m ^ v) >> 2) // u)
-
-
 def find_perfect_code(g: Graph, *, cap: int = DEFAULT_CAP) -> Optional[PerfectCode]:
     """Lexicographically smallest perfect code, or None.
 
@@ -73,11 +67,7 @@ def find_perfect_code(g: Graph, *, cap: int = DEFAULT_CAP) -> Optional[PerfectCo
     the vertices into closed neighborhoods of size Delta+1, so the code
     size must be exactly n/(Delta+1) and only that layer is searched.
     """
-    if g.n > cap:
-        raise CapExceededError(
-            f"order {g.n} exceeds the enumeration cap {cap}; "
-            "pass a larger cap explicitly to proceed"
-        )
+    _check_cap(g.n, cap)
     if g.n == 0:
         return PerfectCode(VertexSet.empty(0))
     if g.is_regular():
@@ -110,11 +100,7 @@ def check_kappa_equality(g: Graph, *, cap: int = DEFAULT_CAP) -> bool:
     """
     if g.n < 1:
         raise ValueError("equality check requires at least one vertex")
-    if g.n > cap:
-        raise CapExceededError(
-            f"order {g.n} exceeds the enumeration cap {cap}; "
-            "pass a larger cap explicitly to proceed"
-        )
+    _check_cap(g.n, cap)
     delta = max_degree(g)
     lhs = kappa(g, cap=cap).value * (delta + 1) == g.n * delta
     if g.is_regular():
@@ -143,11 +129,7 @@ def check_kappa_prime_equality(g: Graph, *, cap: int = DEFAULT_CAP) -> bool:
     """
     if g.n < 1:
         raise ValueError("equality check requires at least one vertex")
-    if g.n > cap:
-        raise CapExceededError(
-            f"order {g.n} exceeds the enumeration cap {cap}; "
-            "pass a larger cap explicitly to proceed"
-        )
+    _check_cap(g.n, cap)
     if not g.is_regular():
         raise PreconditionError("graph is not regular")
     delta = min_degree(g)

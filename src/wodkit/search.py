@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import random_graph
-from .solvers import DEFAULT_CAP, CapExceededError, kappa_q
+from .solvers import DEFAULT_CAP, _check_cap, kappa_q
 
 __all__ = [
     "binary_entropy",
@@ -189,11 +189,7 @@ def sample_and_measure(
     """
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
-    if n > cap:
-        raise CapExceededError(
-            f"order {n} exceeds the enumeration cap {cap}; "
-            "pass a larger cap explicitly to proceed"
-        )
+    _check_cap(n, cap)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     reports = []

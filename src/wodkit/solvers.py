@@ -7,19 +7,35 @@ size, computed as min over odd nonempty D of |D u Odd(D)|: every minimal
 non-WOD set has that shape.  Both reformulations are unit-tested against
 definitional double enumeration.  kappa_Q(G) = max(kappa, n - kappa').
 
-The kappa scan walks subset masks in ascending numeric order and maintains
-Odd(C) incrementally: stepping from mask i-1 to mask i flips exactly the
-low bit run of i, whose aggregate neighborhood XOR is precomputed, so each
-subset costs one XOR and one popcount.  Ascending order makes the first
-attainer of the optimum the lexicographically smallest witness, which is
-what all solvers return, sequential or parallel.
+Since |D u Odd(D)| = |D| + |Odd(D) \\ D|, both quantities are reductions
+over one per-subset value s(C) = |Odd(C) \\ C|: kappa is its maximum, and
+kappa' is the minimum of |C| + s(C) over odd |C|.
+
+The table kernel (_odd_blocks) computes s for every subset.  It tables
+Odd(L) for all masks L of the low _LO_BITS vertices once, by XOR doubling,
+then walks the high blocks in ascending order: block h holds the masks
+C = h * 2^_LO_BITS + L, whose Odd(C) is the low table XOR Odd(h), and two
+xors, one and and one popcount over the block give s.  kappa, kappa' and
+check_threshold_condition are reductions over its blocks; kappa_q takes
+kappa and kappa' in one pass over them, and workers > 1 hands contiguous
+ranges of blocks to processes.  The pure kernels are a scalar kappa scan,
+which steps from mask i-1 to mask i by flipping the low bit run of i and
+so costs one XOR and one popcount per subset, and a layered kappa' scan
+over odd |D| ascending, which stops at the first layers when the minimum
+degree is small.
+
+Every scan visits masks in ascending order and keeps the first optimum,
+so every engine and worker count returns the lexicographically smallest
+witness.
 
 Everything refuses orders above an explicit cap rather than approximate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,19 +60,27 @@ __all__ = [
 
 DEFAULT_CAP = 30
 
-_LO_BITS = 18
+# a block of 2^16 uint32 masks is 256 KB and stays in L2; 18 bits ran
+# slower (order 24: 26 ms against 41 ms for a fused kappa_q pass)
+_LO_BITS = 16
+
+# Wrong-parity low masks get this size in the kappa' reduction, so they
+# never win: every |C u Odd(C)| is at most 62.  The uint8 sums stay exact
+# because 128 + 62 < 256.
+_OUT_OF_REACH = 128
 
 _ENGINES = ("auto", "pure", "numpy")
 
-if hasattr(np, "bitwise_count"):
-    def _popcount_array(a: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(a)
-else:
-    _PC8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_PC8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-    def _popcount_array(a: np.ndarray) -> np.ndarray:
-        by = a.view(np.uint8).reshape(len(a), -1)
-        return _PC8[by].sum(axis=1, dtype=np.uint8)
+
+def _popcount_bytes(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    by = a.view(np.uint8).reshape(len(a), -1)
+    return _PC8[by].sum(axis=1, dtype=np.uint8, out=out)
+
+
+# every kernel counts bits through this name; numpy < 2 has no bitwise_count
+_popcount_array = getattr(np, "bitwise_count", _popcount_bytes)
 
 
 class Quantity(Enum):
@@ -97,21 +121,36 @@ class KappaQResult:
         return Quantity.KAPPA_Q
 
 
-def _check_order(g: Graph, cap: int) -> None:
-    if g.n < 1:
-        raise ValueError("solvers require a graph with at least one vertex")
-    if g.n > cap:
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
         raise CapExceededError(
-            f"order {g.n} exceeds the enumeration cap {cap}; "
+            f"order {n} exceeds the enumeration cap {cap}; "
             "pass a larger cap explicitly to proceed"
         )
 
 
-def _pick_engine(engine: str, n: int) -> str:
+def _check_order(g: Graph, cap: int) -> None:
+    if g.n < 1:
+        raise ValueError("solvers require a graph with at least one vertex")
+    _check_cap(g.n, cap)
+
+
+def _check_engine(engine: str) -> None:
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
+
+
+def _pick_engine(engine: str, n: int) -> str:
+    _check_engine(engine)
     if engine == "auto":
         return "numpy" if n >= 20 else "pure"
+    return engine
+
+
+def _pick_prime_engine(engine: str, g: Graph) -> str:
+    _check_engine(engine)
+    if engine == "auto":
+        return "numpy" if _layered_cost(g.n, min_degree(g)) > 2_000_000 else "pure"
     return engine
 
 
@@ -152,17 +191,12 @@ def _odd_of(adj: tuple[int, ...], mask: int) -> int:
     return odd
 
 
-def _scan_kappa_range(
-    adj: tuple[int, ...], start: int, stop: int, ub: int
-) -> tuple[int, int]:
-    """Best (|Odd(C)\\C|, first attaining mask) over masks in [start, stop)."""
+def _scan_kappa(adj: tuple[int, ...], n: int, ub: int) -> tuple[int, int]:
+    """Pure kappa scan: first (|Odd(C)\\C|, mask) maximum, stopping at ub."""
     pre = _neighbor_prefix(adj)
-    odd = _odd_of(adj, start)
-    best_v = (odd & ~start).bit_count()
-    best_m = start
-    if best_v >= ub:
-        return best_v, best_m
-    for i in range(start + 1, stop):
+    odd = 0
+    best_v = best_m = 0
+    for i in range(1, 1 << n):
         odd ^= pre[(i & -i).bit_length() - 1]
         cnt = (odd & ~i).bit_count()
         if cnt > best_v:
@@ -173,55 +207,132 @@ def _scan_kappa_range(
     return best_v, best_m
 
 
-def _kappa_numpy(adj: tuple[int, ...], n: int, ub: int) -> tuple[int, int]:
-    """Vectorized kappa scan: table the low bits, loop the high bits.
+def _layout(n: int) -> tuple[int, type]:
+    """(low-bit width, mask dtype) of the table kernel at order n."""
+    return min(n, _LO_BITS), np.uint64 if n > 31 else np.uint32
 
-    Blocks are visited in ascending mask order and argmax returns the first
-    maximizer, so the witness matches the incremental scan exactly.
+
+@functools.cache
+def _low_tables(
+    lo_bits: int, dt: type
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Graph-independent tables over the low masks L < 2^lo_bits.
+
+    Returns ~L, |L| (uint8), and for each parity p of the high block the
+    sizes |L| where |L| + p is odd, _OUT_OF_REACH where it is even.  They
+    are built once per width rather than on every call.
     """
-    dt = np.uint64 if n > 31 else np.uint32
-    lo_bits = min(n, _LO_BITS)
-    hi_bits = n - lo_bits
-    lo_odd = np.zeros(1, dtype=dt)
-    for v in range(lo_bits):
-        lo_odd = np.concatenate([lo_odd, lo_odd ^ dt(adj[v])])
-    lo_masks = np.arange(1 << lo_bits, dtype=dt)
-    best_v = -1
-    best_m = 0
-    for h in range(1 << hi_bits):
-        hodd = _odd_of(adj[lo_bits:], h) if h else 0
-        full_masks = lo_masks | dt(h << lo_bits)
-        vals = _popcount_array((lo_odd ^ dt(hodd)) & ~full_masks)
-        idx = int(np.argmax(vals))
-        v = int(vals[idx])
-        if v > best_v:
-            best_v = v
-            best_m = (h << lo_bits) | idx
-            if v >= ub:
-                break
-    return best_v, best_m
+    masks = np.arange(1 << lo_bits, dtype=dt)
+    sizes = _popcount_array(masks)
+    odd_sizes = tuple(
+        np.where((sizes & 1) != p, sizes, _OUT_OF_REACH).astype(np.uint8)
+        for p in (0, 1)
+    )
+    not_masks = ~masks
+    for a in (not_masks, sizes, *odd_sizes):
+        a.flags.writeable = False
+    return not_masks, sizes, odd_sizes
 
 
-def _kappa_worker(args: tuple) -> tuple[int, int]:
-    adj, start, stop, ub = args
-    return _scan_kappa_range(adj, start, stop, ub)
+def _odd_blocks(adj: tuple[int, ...], n: int, start: int, stop: int):
+    """Yield (h, s) for the high blocks start <= h < stop, in order.
+
+    Block h holds the masks C = h * 2^lo + L for every low mask L, and
+    s[L] = |Odd(C) \\ C| as uint8.  s is one buffer reused for every block,
+    so a consumer reduces it before it asks for the next block.
+    """
+    lo, dt = _layout(n)
+    not_low = _low_tables(lo, dt)[0]
+    odd = np.empty(1 << lo, dtype=dt)
+    odd[0] = 0
+    for v in range(lo):
+        np.bitwise_xor(odd[: 1 << v], dt(adj[v]), out=odd[1 << v : 2 << v])
+    x = np.empty_like(odd)
+    not_c = np.empty_like(odd)
+    s = np.empty(1 << lo, dtype=np.uint8)
+    pre = _neighbor_prefix(adj[lo:])
+    high_odd = _odd_of(adj[lo:], start)
+    for h in range(start, stop):
+        if h > start:
+            high_odd ^= pre[(h & -h).bit_length() - 1]
+        np.bitwise_xor(odd, dt(high_odd), out=x)
+        # ~L has every high bit set, so the xor clears exactly h's bits
+        np.bitwise_xor(not_low, dt(h << lo), out=not_c)
+        np.bitwise_and(x, not_c, out=x)
+        _popcount_array(x, out=s)
+        yield h, s
 
 
-def _kappa_parallel(
-    adj: tuple[int, ...], n: int, ub: int, workers: int
-) -> tuple[int, int]:
-    total = 1 << n
-    chunk = -(-total // workers)
-    tasks = [(adj, s, min(s + chunk, total), ub) for s in range(0, total, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(_kappa_worker, tasks))
-    # ranges ascend, so keeping the first strict maximum preserves the
+def _reduce_blocks(task: tuple) -> tuple[int, int, int, int]:
+    """(kappa value, mask, kappa' value, mask) over the blocks [start, stop).
+
+    kappa is the first argmax of s; it stops once it reaches ub, and
+    ub = -1 leaves it out.  With prime, kappa' is the first argmin of
+    |C| + s over odd |C|; without it, (n + 1, 0) comes back.
+    """
+    adj, n, start, stop, ub, prime = task
+    lo, dt = _layout(n)
+    odd_sizes = _low_tables(lo, dt)[2]
+    w = np.empty(1 << lo, dtype=np.uint8)
+    kv, km, pv, pm = -1, 0, n + 1, 0
+    for h, s in _odd_blocks(adj, n, start, stop):
+        if kv < ub:
+            i = int(s.argmax())
+            if s[i] > kv:
+                kv, km = int(s[i]), h << lo | i
+        if prime:
+            size_h = h.bit_count()
+            np.add(odd_sizes[size_h & 1], s, out=w)
+            j = int(w.argmin())
+            if int(w[j]) + size_h < pv:
+                pv, pm = int(w[j]) + size_h, h << lo | j
+        elif kv >= ub:
+            break
+    return kv, km, pv, pm
+
+
+def _table_scan(
+    adj: tuple[int, ...], n: int, ub: int, prime: bool, workers: int | None
+) -> tuple[int, int, int, int]:
+    """_reduce_blocks over every block, split across workers processes."""
+    blocks = 1 << (n - _layout(n)[0])
+    if not workers or workers < 2:
+        return _reduce_blocks((adj, n, 0, blocks, ub, prime))
+    # block 0 runs here first: a bound reached in it, or a table of one
+    # block, leaves nothing for a pool to do
+    parts = [_reduce_blocks((adj, n, 0, 1, ub, prime))]
+    rest_ub = ub if parts[0][0] < ub else -1
+    if blocks == 1 or (rest_ub < 0 and not prime):
+        return parts[0]
+    chunk = -(-(blocks - 1) // workers)
+    tasks = [
+        (adj, n, s, min(s + chunk, blocks), rest_ub, prime)
+        for s in range(1, blocks, chunk)
+    ]
+    with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
+        parts += ex.map(_reduce_blocks, tasks)
+    # ranges ascend, so keeping the first strict optimum preserves the
     # smallest witness mask regardless of worker scheduling
-    best_v, best_m = -1, 0
-    for v, m in parts:
-        if v > best_v:
-            best_v, best_m = v, m
-    return best_v, best_m
+    kv, km, pv, pm = parts[0]
+    for v, m, p, q in parts[1:]:
+        if v > kv:
+            kv, km = v, m
+        if p < pv:
+            pv, pm = p, q
+    return kv, km, pv, pm
+
+
+@dataclass
+class _SharedScan:
+    """kappa_q's one table pass: kappa leaves the kappa' reduction here."""
+
+    graph: Graph
+    kappa_prime: tuple[int, int] | None = None
+
+
+# kappa_q still answers through kappa() and kappa_prime(), so each stays a
+# call of its own for the callers that wrap or profile them
+_SHARED_SCAN: ContextVar[_SharedScan | None] = ContextVar("_SHARED_SCAN", default=None)
 
 
 def kappa(
@@ -234,22 +345,29 @@ def kappa(
     """Exact kappa(G) with the lexicographically smallest optimal witness C.
 
     engine: "pure" walks masks incrementally, "numpy" uses the blocked
-    vectorized kernel, "auto" picks by order.  workers > 1 partitions the
-    mask space across processes; the returned value and witness are
-    identical for every engine and worker count.
+    table kernel, "auto" picks by order.  workers > 1 runs the table
+    kernel with its blocks split across processes; the returned value and
+    witness are identical for every engine and worker count.
     """
     _check_order(g, cap)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    eng = _pick_engine(engine, g.n)
     lo, ub = kappa_bounds(g)
     if ub == 0:
         return ExtremalResult(Quantity.KAPPA, 0, VertexSet.empty(g.n), (lo, ub))
-    if workers and workers > 1:
-        best_v, best_m = _kappa_parallel(g.adj, g.n, ub, workers)
-    elif _pick_engine(engine, g.n) == "numpy":
-        best_v, best_m = _kappa_numpy(g.adj, g.n, ub)
+    if eng == "numpy" or (workers or 1) > 1:
+        shared = _SHARED_SCAN.get()
+        prime = (
+            shared is not None
+            and shared.graph is g
+            and _pick_prime_engine(engine, g) == "numpy"
+        )
+        best_v, best_m, pv, pm = _table_scan(g.adj, g.n, ub, prime, workers)
+        if prime:
+            shared.kappa_prime = (pv, pm)
     else:
-        best_v, best_m = _scan_kappa_range(g.adj, 0, 1 << g.n, ub)
+        best_v, best_m = _scan_kappa(g.adj, g.n, ub)
     return ExtremalResult(Quantity.KAPPA, best_v, VertexSet(best_m, g.n), (lo, ub))
 
 
@@ -289,34 +407,6 @@ def _kappa_prime_layered(adj: tuple[int, ...], n: int) -> tuple[int, int]:
     return best_v, best_m
 
 
-def _kappa_prime_numpy(adj: tuple[int, ...], n: int) -> tuple[int, int]:
-    """Full-space vectorized kappa' scan, for graphs where layers get big."""
-    dt = np.uint64 if n > 31 else np.uint32
-    lo_bits = min(n, _LO_BITS)
-    hi_bits = n - lo_bits
-    lo_odd = np.zeros(1, dtype=dt)
-    for v in range(lo_bits):
-        lo_odd = np.concatenate([lo_odd, lo_odd ^ dt(adj[v])])
-    lo_masks = np.arange(1 << lo_bits, dtype=dt)
-    lo_par = (_popcount_array(lo_masks) & 1).astype(bool)
-    idx_by_parity = (np.nonzero(~lo_par)[0], np.nonzero(lo_par)[0])
-    best_v = n + 1
-    best_m = 0
-    for h in range(1 << hi_bits):
-        hodd = _odd_of(adj[lo_bits:], h) if h else 0
-        # total |D| must be odd
-        cand = idx_by_parity[1 - (h.bit_count() & 1)]
-        masks = lo_masks[cand] | dt(h << lo_bits)
-        vals = _popcount_array((lo_odd[cand] ^ dt(hodd)) | masks)
-        j = int(np.argmin(vals))
-        v = int(vals[j])
-        m = (h << lo_bits) | int(cand[j])
-        if v < best_v or (v == best_v and m < best_m):
-            best_v = v
-            best_m = m
-    return best_v, best_m
-
-
 def _layered_cost(n: int, delta: int) -> int:
     total = 0
     k = 1
@@ -335,14 +425,16 @@ def kappa_prime(
     """Exact kappa'(G) with the lexicographically smallest optimal witness D."""
     _check_order(g, cap)
     bounds = kappa_prime_bounds(g)
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
-    if engine == "auto":
-        eng = "numpy" if _layered_cost(g.n, min_degree(g)) > 2_000_000 else "pure"
-    else:
-        eng = engine
-    if eng == "numpy":
-        best_v, best_m = _kappa_prime_numpy(g.adj, g.n)
+    if _pick_prime_engine(engine, g) == "numpy":
+        shared = _SHARED_SCAN.get()
+        if (
+            shared is not None
+            and shared.graph is g
+            and shared.kappa_prime is not None
+        ):
+            best_v, best_m = shared.kappa_prime
+        else:
+            _, _, best_v, best_m = _table_scan(g.adj, g.n, -1, True, None)
     else:
         best_v, best_m = _kappa_prime_layered(g.adj, g.n)
     return ExtremalResult(
@@ -357,9 +449,18 @@ def kappa_q(
     engine: str = "auto",
     workers: int | None = None,
 ) -> KappaQResult:
-    """kappa_Q(G) = max(kappa(G), n - kappa'(G)), with both witnesses."""
-    k = kappa(g, cap=cap, engine=engine, workers=workers)
-    kp = kappa_prime(g, cap=cap, engine=engine)
+    """kappa_Q(G) = max(kappa(G), n - kappa'(G)), with both witnesses.
+
+    When kappa and kappa' both take the table kernel, one pass over its
+    blocks computes both; after kappa reaches its bound only the kappa'
+    reduction keeps running.
+    """
+    token = _SHARED_SCAN.set(_SharedScan(g))
+    try:
+        k = kappa(g, cap=cap, engine=engine, workers=workers)
+        kp = kappa_prime(g, cap=cap, engine=engine)
+    finally:
+        _SHARED_SCAN.reset(token)
     return KappaQResult(max(k.value, g.n - kp.value), k, kp)
 
 
@@ -383,24 +484,27 @@ def check_threshold_condition(g: Graph, k: int, *, cap: int = DEFAULT_CAP) -> bo
 
     True iff every nonempty D has both |D u Odd(D)| > n-k and
     |D u (V \\ Odd(D))| > n-k.  Soundness: a true result implies the exact
-    kappa_Q is below k; the converse need not hold.
+    kappa_Q is below k; the converse need not hold.  With s = |Odd(D) \\ D|
+    the two sides are |D| + s and n - s, so the scan stops at the first
+    block holding some s >= k or some |D| + s <= n-k.
     """
-    if g.n > cap:
-        raise CapExceededError(
-            f"order {g.n} exceeds the enumeration cap {cap}; "
-            "pass a larger cap explicitly to proceed"
-        )
+    _check_cap(g.n, cap)
     if k < 0:
         raise ValueError(f"threshold k must be >= 0, got {k}")
     n = g.n
-    full = (1 << n) - 1
-    threshold = n - k
-    pre = _neighbor_prefix(g.adj)
-    odd = 0
-    for i in range(1, 1 << n):
-        odd ^= pre[(i & -i).bit_length() - 1]
-        if (i | odd).bit_count() <= threshold:
+    if n == 0:
+        return True
+    lo, dt = _layout(n)
+    sizes = _low_tables(lo, dt)[1]
+    w = np.empty(1 << lo, dtype=np.uint8)
+    for h, s in _odd_blocks(g.adj, n, 0, 1 << (n - lo)):
+        # s of the empty set is 0, below every k > 0, and at k = 0 any
+        # nonempty D fails as well, so the maximum may include it
+        if int(s.max()) >= k:
             return False
-        if (i | (~odd & full)).bit_count() <= threshold:
+        np.add(sizes, s, out=w)
+        if h == 0:
+            w[0] = _OUT_OF_REACH
+        if int(w.min()) + h.bit_count() <= n - k:
             return False
     return True

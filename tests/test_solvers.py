@@ -26,6 +26,7 @@ from wodkit import (
     verify_non_wod_certificate,
     verify_wod_certificate,
 )
+from wodkit import solvers
 from wodkit.fixtures import cycle, k4, q3
 
 
@@ -42,6 +43,26 @@ def check_kappa_prime_witness(g, res):
     covered = d | odd_neighborhood(g, d)
     assert len(covered) == res.value
     assert verify_non_wod_certificate(g, covered, d)
+
+
+def oracle_corpus(seed):
+    """Every labelled graph of order 4 and 25 seeded graphs of order 5..8."""
+    rng = random.Random(seed)
+    graphs = list(all_labeled_graphs(4))
+    graphs += [random_graph(rng.randint(5, 8), rng.randrange(10**6))
+               for _ in range(25)]
+    return graphs
+
+
+def star(n):
+    """K_{1,n-1} centred at vertex 0."""
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def solved(res):
+    """kappa_Q, then the value and witness mask of kappa and of kappa'."""
+    return (res.value, res.kappa.value, res.kappa.witness.mask,
+            res.kappa_prime.value, res.kappa_prime.witness.mask)
 
 
 class TestKappa:
@@ -64,11 +85,7 @@ class TestKappa:
         check_kappa_witness(cycle(5), res)
 
     def test_matches_oracle_with_canonical_witness(self):
-        rng = random.Random(31)
-        graphs = list(all_labeled_graphs(4))
-        graphs += [random_graph(rng.randint(5, 8), rng.randrange(10**6))
-                   for _ in range(25)]
-        for g in graphs:
+        for g in oracle_corpus(31):
             want_v, want_m = kappa_oracle(g)
             for engine in ("pure", "numpy"):
                 res = kappa(g, engine=engine)
@@ -94,6 +111,51 @@ class TestKappa:
             for workers in (2, 3, 4):
                 par = kappa(g, workers=workers)
                 assert (par.value, par.witness.mask) == (seq.value, seq.witness.mask)
+
+    def test_parallel_blocks_match_sequential(self):
+        # two high bits: block 0 runs here, blocks 1..3 go to the pool,
+        # for kappa alone and for the fused kappa_q pass
+        g = random_graph(solvers._LO_BITS + 2, 5)
+        seq = kappa_q(g, engine="pure")
+        for workers in (2, 3):
+            par = kappa(g, workers=workers)
+            assert (par.value, par.witness.mask) == (
+                seq.kappa.value, seq.kappa.witness.mask)
+            assert solved(kappa_q(g, engine="numpy", workers=workers)) == solved(seq)
+
+    def test_no_pool_when_block_zero_settles(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(solvers, "ProcessPoolExecutor", no_pool)
+        # K_{1,21} spans several blocks but reaches its bound 21 at mask 1;
+        # order 13 fits in one block
+        assert 13 <= solvers._LO_BITS < 22
+        for g in (star(22), random_graph(13, 4)):
+            seq = kappa(g, engine="pure")
+            par = kappa(g, workers=2)
+            assert (par.value, par.witness.mask) == (seq.value, seq.witness.mask)
+        res = kappa(star(22), workers=2)
+        assert (res.value, res.witness.mask) == (21, 1)
+
+    def test_uint64_table_above_order_31(self, monkeypatch):
+        g = star(34)
+        seen = []
+        blocks = solvers._odd_blocks
+
+        def spy(*args):
+            for h, s in blocks(*args):
+                seen.append(h)
+                yield h, s
+
+        monkeypatch.setattr(solvers, "_odd_blocks", spy)
+        res = kappa(g, cap=34, engine="numpy")
+        assert (res.value, res.witness.mask) == (33, 1)
+        assert seen == [0]
+        check_kappa_witness(g, res)
+        kp = kappa_prime(g, cap=34)
+        assert kp.value == 2
+        check_kappa_prime_witness(g, kp)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -121,13 +183,7 @@ class TestKappaPrime:
         check_kappa_prime_witness(cycle(5), res)
 
     def test_matches_oracle_with_canonical_witness(self):
-        rng = random.Random(33)
-        graphs = list(all_labeled_graphs(4))
-        graphs += [random_graph(rng.randint(5, 8), rng.randrange(10**6))
-                   for _ in range(25)]
-        for g in graphs:
-            if g.n == 0:
-                continue
+        for g in oracle_corpus(33):
             want_v, want_m = kappa_prime_oracle(g)
             for engine in ("pure", "numpy"):
                 res = kappa_prime(g, engine=engine)
@@ -184,6 +240,26 @@ class TestKappaQ:
             g = random_graph(n, rng.randrange(10**6))
             res = kappa_q(g)
             assert res.value == max(kappa(g).value, kappa(complement(g)).value)
+
+
+class TestPopcountFallback:
+    def test_byte_table_popcount_agrees(self, monkeypatch):
+        # numpy < 2 has no bitwise_count; the tables must be rebuilt with
+        # the byte-table count too, and rebuilt again afterwards
+        solvers._low_tables.cache_clear()
+        monkeypatch.setattr(solvers, "_popcount_array", solvers._popcount_bytes)
+        try:
+            graphs = oracle_corpus(31) + [random_graph(20, 77)]
+            for g in graphs:
+                want = kappa_q(g, engine="pure")
+                got = kappa_q(g, engine="numpy")
+                assert solved(got) == solved(want)
+                k = kappa(g, engine="numpy")
+                kp = kappa_prime(g, engine="numpy")
+                assert (k.value, k.witness.mask, kp.value, kp.witness.mask) == (
+                    solved(want)[1:])
+        finally:
+            solvers._low_tables.cache_clear()
 
 
 class TestBounds:
@@ -249,7 +325,33 @@ class TestCopies:
                 assert kappa_prime(gr).value == base_kp
 
 
+def threshold_loop(g, k):
+    """Reference: the incremental pure-Python scan over all nonempty D."""
+    n = g.n
+    full = (1 << n) - 1
+    pre = solvers._neighbor_prefix(g.adj)
+    odd = 0
+    for i in range(1, 1 << n):
+        odd ^= pre[(i & -i).bit_length() - 1]
+        if (i | odd).bit_count() <= n - k:
+            return False
+        if (i | (~odd & full)).bit_count() <= n - k:
+            return False
+    return True
+
+
 class TestThresholdCondition:
+    def test_matches_loop(self):
+        graphs = [g for n in range(6) for g in all_labeled_graphs(n)]
+        rng = random.Random(42)
+        graphs += [random_graph(rng.randint(6, 10), rng.randrange(10**6))
+                   for _ in range(40)]
+        for g in graphs:
+            for k in range(g.n + 2):
+                assert check_threshold_condition(g, k) is threshold_loop(g, k), (
+                    g.adj, k)
+
+
     def test_trivial_k_values(self):
         for g in (cycle(5), k4(), random_graph(7, 9)):
             assert check_threshold_condition(g, g.n + 1) is True
