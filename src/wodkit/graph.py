@@ -200,19 +200,24 @@ def _require_same_universe(g: Graph, s: VertexSet) -> None:
         )
 
 
+def _odd_mask(adj: tuple[int, ...], mask: int) -> int:
+    """Odd(C) as a bitmask: the XOR of adj[v] over the bits v of mask."""
+    acc = 0
+    m = mask
+    while m:
+        low = m & -m
+        acc ^= adj[low.bit_length() - 1]
+        m ^= low
+    return acc
+
+
 def odd_neighborhood(g: Graph, c: VertexSet) -> VertexSet:
     """Odd(C): vertices with an odd number of neighbors in C.
 
     Equals the symmetric difference of N(v) over v in C.
     """
     _require_same_universe(g, c)
-    acc = 0
-    m = c.mask
-    while m:
-        low = m & -m
-        acc ^= g.adj[low.bit_length() - 1]
-        m ^= low
-    return VertexSet(acc, g.n)
+    return VertexSet(_odd_mask(g.adj, c.mask), g.n)
 
 
 def closed_odd_neighborhood(g: Graph, c: VertexSet) -> VertexSet:
@@ -343,8 +348,10 @@ def _triangle_pairs(n: int) -> Iterator[tuple[int, int]]:
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6-encoded graph of order at most 62.
 
-    A single trailing newline is tolerated.  Any other deviation raises
-    Graph6Error naming the byte offset of the offending byte.
+    Trailing line breaks are stripped, any run of "\\n" and "\\r", since a
+    file may end in blank lines.  Any other deviation, trailing spaces
+    included, raises Graph6Error naming the byte offset of the offending
+    byte.
     """
     s = text
     while s.endswith("\n") or s.endswith("\r"):

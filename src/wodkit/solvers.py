@@ -11,18 +11,19 @@ Since |D u Odd(D)| = |D| + |Odd(D) \\ D|, both quantities are reductions
 over one per-subset value s(C) = |Odd(C) \\ C|: kappa is its maximum, and
 kappa' is the minimum of |C| + s(C) over odd |C|.
 
-The table kernel (_odd_blocks) computes s for every subset.  It tables
-Odd(L) for all masks L of the low _LO_BITS vertices once, by XOR doubling,
-then walks the high blocks in ascending order: block h holds the masks
-C = h * 2^_LO_BITS + L, whose Odd(C) is the low table XOR Odd(h), and two
-xors, one and and one popcount over the block give s.  kappa, kappa' and
+The table kernel lives in _table.py, wodkit's only numpy code, which is
+imported on the first call that runs it.  It computes s for every subset,
+one block of 2^_LO_BITS masks at a time.  kappa, kappa' and
 check_threshold_condition are reductions over its blocks; kappa_q takes
 kappa and kappa' in one pass over them, and workers > 1 hands contiguous
-ranges of blocks to processes.  The pure kernels are a scalar kappa scan,
-which steps from mask i-1 to mask i by flipping the low bit run of i and
-so costs one XOR and one popcount per subset, and a layered kappa' scan
-over odd |D| ascending, which stops at the first layers when the minimum
-degree is small.
+ranges of blocks to processes.  The pure kernels stay here and need no
+numpy: a scalar kappa scan, which steps from mask i-1 to mask i by
+flipping the low bit run of i and so costs one XOR and one popcount per
+subset, and a layered kappa' scan over odd |D| ascending, which stops at
+the first layers when the minimum degree is small.  Under "auto" every
+graph of order at most 18 takes only the pure scans and so never loads
+numpy; at order 19 kappa' takes the table once the minimum degree
+reaches 10, and from order 20 on kappa always does.
 
 Every scan visits masks in ascending order and keeps the first optimum,
 so every engine and worker count returns the lexicographically smallest
@@ -32,16 +33,12 @@ Everything refuses orders above an explicit cap rather than approximate.
 """
 from __future__ import annotations
 
-import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .graph import Graph, VertexSet, max_degree, min_degree
+from .graph import Graph, VertexSet, _odd_mask, max_degree, min_degree
 
 __all__ = [
     "DEFAULT_CAP",
@@ -70,18 +67,6 @@ _LO_BITS = 16
 _OUT_OF_REACH = 128
 
 _ENGINES = ("auto", "pure", "numpy")
-
-_PC8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount_bytes(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    by = a.view(np.uint8).reshape(len(a), -1)
-    return _PC8[by].sum(axis=1, dtype=np.uint8, out=out)
-
-
-# every kernel counts bits through this name; numpy < 2 has no bitwise_count
-_popcount_array = getattr(np, "bitwise_count", _popcount_bytes)
-
 
 class Quantity(Enum):
     KAPPA = "kappa"
@@ -181,16 +166,6 @@ def _neighbor_prefix(adj: tuple[int, ...]) -> list[int]:
     return pre
 
 
-def _odd_of(adj: tuple[int, ...], mask: int) -> int:
-    odd = 0
-    m = mask
-    while m:
-        low = m & -m
-        odd ^= adj[low.bit_length() - 1]
-        m ^= low
-    return odd
-
-
 def _scan_kappa(adj: tuple[int, ...], n: int, ub: int) -> tuple[int, int]:
     """Pure kappa scan: first (|Odd(C)\\C|, mask) maximum, stopping at ub."""
     pre = _neighbor_prefix(adj)
@@ -207,131 +182,16 @@ def _scan_kappa(adj: tuple[int, ...], n: int, ub: int) -> tuple[int, int]:
     return best_v, best_m
 
 
-def _layout(n: int) -> tuple[int, type]:
-    """(low-bit width, mask dtype) of the table kernel at order n."""
-    return min(n, _LO_BITS), np.uint64 if n > 31 else np.uint32
-
-
-@functools.cache
-def _low_tables(
-    lo_bits: int, dt: type
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Graph-independent tables over the low masks L < 2^lo_bits.
-
-    Returns ~L, |L| (uint8), and for each parity p of the high block the
-    sizes |L| where |L| + p is odd, _OUT_OF_REACH where it is even.  They
-    are built once per width rather than on every call.
-    """
-    masks = np.arange(1 << lo_bits, dtype=dt)
-    sizes = _popcount_array(masks)
-    odd_sizes = tuple(
-        np.where((sizes & 1) != p, sizes, _OUT_OF_REACH).astype(np.uint8)
-        for p in (0, 1)
-    )
-    not_masks = ~masks
-    for a in (not_masks, sizes, *odd_sizes):
-        a.flags.writeable = False
-    return not_masks, sizes, odd_sizes
-
-
-def _odd_blocks(adj: tuple[int, ...], n: int, start: int, stop: int):
-    """Yield (h, s) for the high blocks start <= h < stop, in order.
-
-    Block h holds the masks C = h * 2^lo + L for every low mask L, and
-    s[L] = |Odd(C) \\ C| as uint8.  s is one buffer reused for every block,
-    so a consumer reduces it before it asks for the next block.
-    """
-    lo, dt = _layout(n)
-    not_low = _low_tables(lo, dt)[0]
-    odd = np.empty(1 << lo, dtype=dt)
-    odd[0] = 0
-    for v in range(lo):
-        np.bitwise_xor(odd[: 1 << v], dt(adj[v]), out=odd[1 << v : 2 << v])
-    x = np.empty_like(odd)
-    not_c = np.empty_like(odd)
-    s = np.empty(1 << lo, dtype=np.uint8)
-    pre = _neighbor_prefix(adj[lo:])
-    high_odd = _odd_of(adj[lo:], start)
-    for h in range(start, stop):
-        if h > start:
-            high_odd ^= pre[(h & -h).bit_length() - 1]
-        np.bitwise_xor(odd, dt(high_odd), out=x)
-        # ~L has every high bit set, so the xor clears exactly h's bits
-        np.bitwise_xor(not_low, dt(h << lo), out=not_c)
-        np.bitwise_and(x, not_c, out=x)
-        _popcount_array(x, out=s)
-        yield h, s
-
-
-def _reduce_blocks(task: tuple) -> tuple[int, int, int, int]:
-    """(kappa value, mask, kappa' value, mask) over the blocks [start, stop).
-
-    kappa is the first argmax of s; it stops once it reaches ub, and
-    ub = -1 leaves it out.  With prime, kappa' is the first argmin of
-    |C| + s over odd |C|; without it, (n + 1, 0) comes back.
-    """
-    adj, n, start, stop, ub, prime = task
-    lo, dt = _layout(n)
-    odd_sizes = _low_tables(lo, dt)[2]
-    w = np.empty(1 << lo, dtype=np.uint8)
-    kv, km, pv, pm = -1, 0, n + 1, 0
-    for h, s in _odd_blocks(adj, n, start, stop):
-        if kv < ub:
-            i = int(s.argmax())
-            if s[i] > kv:
-                kv, km = int(s[i]), h << lo | i
-        if prime:
-            size_h = h.bit_count()
-            np.add(odd_sizes[size_h & 1], s, out=w)
-            j = int(w.argmin())
-            if int(w[j]) + size_h < pv:
-                pv, pm = int(w[j]) + size_h, h << lo | j
-        elif kv >= ub:
-            break
-    return kv, km, pv, pm
-
-
-def _table_scan(
-    adj: tuple[int, ...], n: int, ub: int, prime: bool, workers: int | None
-) -> tuple[int, int, int, int]:
-    """_reduce_blocks over every block, split across workers processes."""
-    blocks = 1 << (n - _layout(n)[0])
-    if not workers or workers < 2:
-        return _reduce_blocks((adj, n, 0, blocks, ub, prime))
-    # block 0 runs here first: a bound reached in it, or a table of one
-    # block, leaves nothing for a pool to do
-    parts = [_reduce_blocks((adj, n, 0, 1, ub, prime))]
-    rest_ub = ub if parts[0][0] < ub else -1
-    if blocks == 1 or (rest_ub < 0 and not prime):
-        return parts[0]
-    chunk = -(-(blocks - 1) // workers)
-    tasks = [
-        (adj, n, s, min(s + chunk, blocks), rest_ub, prime)
-        for s in range(1, blocks, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
-        parts += ex.map(_reduce_blocks, tasks)
-    # ranges ascend, so keeping the first strict optimum preserves the
-    # smallest witness mask regardless of worker scheduling
-    kv, km, pv, pm = parts[0]
-    for v, m, p, q in parts[1:]:
-        if v > kv:
-            kv, km = v, m
-        if p < pv:
-            pv, pm = p, q
-    return kv, km, pv, pm
-
-
 @dataclass
 class _SharedScan:
-    """kappa_q's one table pass: kappa leaves the kappa' reduction here."""
+    """_kappa_pair's one table pass: kappa leaves the kappa' reduction here."""
 
     graph: Graph
     kappa_prime: tuple[int, int] | None = None
 
 
-# kappa_q still answers through kappa() and kappa_prime(), so each stays a
-# call of its own for the callers that wrap or profile them
+# _kappa_pair still answers through kappa() and kappa_prime(), so each
+# stays a call of its own for the callers that wrap or profile them
 _SHARED_SCAN: ContextVar[_SharedScan | None] = ContextVar("_SHARED_SCAN", default=None)
 
 
@@ -363,7 +223,9 @@ def kappa(
             and shared.graph is g
             and _pick_prime_engine(engine, g) == "numpy"
         )
-        best_v, best_m, pv, pm = _table_scan(g.adj, g.n, ub, prime, workers)
+        from . import _table
+
+        best_v, best_m, pv, pm = _table._table_scan(g.adj, g.n, ub, prime, workers)
         if prime:
             shared.kappa_prime = (pv, pm)
     else:
@@ -392,7 +254,7 @@ def _kappa_prime_layered(adj: tuple[int, ...], n: int) -> tuple[int, int]:
         m = (1 << k) - 1
         floor_hit = False
         while m < limit:
-            val = (m | _odd_of(adj, m)).bit_count()
+            val = (m | _odd_mask(adj, m)).bit_count()
             if val < best_v or (val == best_v and m < best_m):
                 best_v = val
                 best_m = m
@@ -434,12 +296,27 @@ def kappa_prime(
         ):
             best_v, best_m = shared.kappa_prime
         else:
-            _, _, best_v, best_m = _table_scan(g.adj, g.n, -1, True, None)
+            from . import _table
+
+            _, _, best_v, best_m = _table._table_scan(g.adj, g.n, -1, True, None)
     else:
         best_v, best_m = _kappa_prime_layered(g.adj, g.n)
     return ExtremalResult(
         Quantity.KAPPA_PRIME, best_v, VertexSet(best_m, g.n), bounds
     )
+
+
+def _kappa_pair(
+    g: Graph, *, cap: int, engine: str, workers: int | None
+) -> tuple[ExtremalResult, ExtremalResult]:
+    """kappa(g) and kappa_prime(g), sharing one table pass where both take it."""
+    token = _SHARED_SCAN.set(_SharedScan(g))
+    try:
+        k = kappa(g, cap=cap, engine=engine, workers=workers)
+        kp = kappa_prime(g, cap=cap, engine=engine)
+    finally:
+        _SHARED_SCAN.reset(token)
+    return k, kp
 
 
 def kappa_q(
@@ -455,12 +332,7 @@ def kappa_q(
     blocks computes both; after kappa reaches its bound only the kappa'
     reduction keeps running.
     """
-    token = _SHARED_SCAN.set(_SharedScan(g))
-    try:
-        k = kappa(g, cap=cap, engine=engine, workers=workers)
-        kp = kappa_prime(g, cap=cap, engine=engine)
-    finally:
-        _SHARED_SCAN.reset(token)
+    k, kp = _kappa_pair(g, cap=cap, engine=engine, workers=workers)
     return KappaQResult(max(k.value, g.n - kp.value), k, kp)
 
 
@@ -491,20 +363,8 @@ def check_threshold_condition(g: Graph, k: int, *, cap: int = DEFAULT_CAP) -> bo
     _check_cap(g.n, cap)
     if k < 0:
         raise ValueError(f"threshold k must be >= 0, got {k}")
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return True
-    lo, dt = _layout(n)
-    sizes = _low_tables(lo, dt)[1]
-    w = np.empty(1 << lo, dtype=np.uint8)
-    for h, s in _odd_blocks(g.adj, n, 0, 1 << (n - lo)):
-        # s of the empty set is 0, below every k > 0, and at k = 0 any
-        # nonempty D fails as well, so the maximum may include it
-        if int(s.max()) >= k:
-            return False
-        np.add(sizes, s, out=w)
-        if h == 0:
-            w[0] = _OUT_OF_REACH
-        if int(w.min()) + h.bit_count() <= n - k:
-            return False
-    return True
+    from . import _table
+
+    return _table._threshold_scan(g.adj, g.n, k)

@@ -8,8 +8,13 @@ import pytest
 
 from wodkit import (
     VertexSet,
+    _table,
+    cli,
+    kappa,
+    kappa_prime,
     parse_graph6,
     random_graph,
+    solvers,
     verify_non_wod_certificate,
     verify_wod_certificate,
     write_graph6,
@@ -107,6 +112,34 @@ class TestCompute:
     def test_byte_identical_reruns(self):
         args = ("compute", "--graph", "D?{", "--all", "--no-timing")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    def test_both_quantities_take_one_table_pass(self, monkeypatch, capsys):
+        g = random_graph(20, 1)
+        k = kappa(g, engine="numpy")
+        kp = kappa_prime(g, engine="numpy")
+        want = {
+            "kappa": cli._witness_payload(
+                g, "kappa", k.value, k.witness, k.bounds_used),
+            "kappa_prime": cli._witness_payload(
+                g, "kappa_prime", kp.value, kp.witness, kp.bounds_used),
+            "kappa_q": {"value": max(k.value, g.n - kp.value)},
+        }
+        blocks = _table._odd_blocks
+        for flag in ("--all", "--kappa-q"):
+            seen = []
+
+            def spy(*args):
+                for h, s in blocks(*args):
+                    seen.append(h)
+                    yield h, s
+
+            monkeypatch.setattr(_table, "_odd_blocks", spy)
+            assert cli.main(["compute", "--graph", write_graph6(g), flag,
+                             "--engine", "numpy", "--no-timing"]) == 0
+            assert seen == list(range(1 << (g.n - solvers._LO_BITS))), flag
+            res = json.loads(capsys.readouterr().out)["results"]
+            res.pop("bounds", None)
+            assert res == want, flag
 
 
 class TestVerify:

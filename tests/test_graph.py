@@ -356,6 +356,8 @@ class TestGraph6:
 
     def test_trailing_newline_accepted(self):
         assert parse_graph6("A_\n").edges() == [(0, 1)]
+        # any run of line breaks goes, as a file may end in blank lines
+        assert parse_graph6("C~\n\n\r\n").edges() == k4().edges()
 
     def test_error_offsets(self):
         cases = [
@@ -364,6 +366,7 @@ class TestGraph6:
             ("B", 1),     # truncated data
             ("A", 1),
             ("A_X", 2),   # trailing bytes
+            ("C~ \n", 2), # a space is data, not a line break
             ("A\x05", 1), # invalid data byte
             ("Aw", 1),    # nonzero padding bits for n=2
         ]

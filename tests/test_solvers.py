@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +30,7 @@ from wodkit import (
     verify_non_wod_certificate,
     verify_wod_certificate,
 )
-from wodkit import solvers
+from wodkit import _table, solvers
 from wodkit.fixtures import cycle, k4, q3
 
 
@@ -127,7 +131,7 @@ class TestKappa:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(solvers, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(_table, "ProcessPoolExecutor", no_pool)
         # K_{1,21} spans several blocks but reaches its bound 21 at mask 1;
         # order 13 fits in one block
         assert 13 <= solvers._LO_BITS < 22
@@ -141,14 +145,14 @@ class TestKappa:
     def test_uint64_table_above_order_31(self, monkeypatch):
         g = star(34)
         seen = []
-        blocks = solvers._odd_blocks
+        blocks = _table._odd_blocks
 
         def spy(*args):
             for h, s in blocks(*args):
                 seen.append(h)
                 yield h, s
 
-        monkeypatch.setattr(solvers, "_odd_blocks", spy)
+        monkeypatch.setattr(_table, "_odd_blocks", spy)
         res = kappa(g, cap=34, engine="numpy")
         assert (res.value, res.witness.mask) == (33, 1)
         assert seen == [0]
@@ -246,8 +250,8 @@ class TestPopcountFallback:
     def test_byte_table_popcount_agrees(self, monkeypatch):
         # numpy < 2 has no bitwise_count; the tables must be rebuilt with
         # the byte-table count too, and rebuilt again afterwards
-        solvers._low_tables.cache_clear()
-        monkeypatch.setattr(solvers, "_popcount_array", solvers._popcount_bytes)
+        _table._low_tables.cache_clear()
+        monkeypatch.setattr(_table, "_popcount_array", _table._popcount_bytes)
         try:
             graphs = oracle_corpus(31) + [random_graph(20, 77)]
             for g in graphs:
@@ -259,7 +263,7 @@ class TestPopcountFallback:
                 assert (k.value, k.witness.mask, kp.value, kp.witness.mask) == (
                     solved(want)[1:])
         finally:
-            solvers._low_tables.cache_clear()
+            _table._low_tables.cache_clear()
 
 
 class TestBounds:
@@ -404,3 +408,44 @@ class TestBlowupChain:
                 mid = kappa_prime(gr).value <= k
                 rhs = base_kp <= k
                 assert lhs == mid == rhs, (g.adj, k)
+
+
+# Run in a fresh interpreter: solves that take only the pure scans must
+# leave numpy and the process pool unloaded, and the table kernel must
+# load them on demand and agree with the pure scan.
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import wodkit
+from wodkit import cli, kappa, kappa_q, random_graph, write_graph6
+from wodkit.fixtures import petersen
+
+kappa_q(random_graph(14, 3))
+g6 = write_graph6(petersen())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["compute", "--graph", g6, "--no-timing"]) == 0
+k = json.loads(out.getvalue())["results"]["kappa"]
+cert = json.dumps({"kind": "WOD", "b": k["wod_set"], "witness": k["witness"]})
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--graph", g6, "--certificate", cert]) == 0
+assert "numpy" not in sys.modules, "numpy loaded"
+assert "concurrent.futures.process" not in sys.modules, "process pool loaded"
+
+g = random_graph(14, 3)
+table = kappa(g, engine="numpy")
+assert "numpy" in sys.modules
+pure = kappa(g, engine="pure")
+assert (table.value, table.witness) == (pure.value, pure.witness)
+"""
+
+
+def test_pure_solves_leave_numpy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
