@@ -12,7 +12,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .gf2 import BitMatrix, BitVector, mat_vec, rank, rank_augmented, solve
+from .gf2 import BitMatrix, BitVector, rank, solve
 from .graph import (
     MAX_ORDER,
     Graph,
@@ -83,9 +83,7 @@ __all__ = [
     "__version__",
     "BitMatrix",
     "BitVector",
-    "mat_vec",
     "rank",
-    "rank_augmented",
     "solve",
     "MAX_ORDER",
     "Graph",

@@ -145,7 +145,10 @@ def _load_certificate(args: argparse.Namespace) -> dict[str, Any]:
             raw = fh.read()
     else:
         raw = args.certificate
-    cert = json.loads(raw)
+    try:
+        cert = json.loads(raw)
+    except RecursionError:
+        raise ValueError("certificate JSON is nested too deeply") from None
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
     for key in ("kind", "b", "witness"):

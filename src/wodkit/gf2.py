@@ -1,4 +1,4 @@
-"""Dense GF(2) linear algebra over word-packed bit rows.
+"""GF(2) rank and linear solving over word-packed bit rows.
 
 Vectors and matrix rows are Python integers used as bitsets: bit i of a row
 is the entry in column i.  Everything a caller can observe is immutable;
@@ -14,8 +14,6 @@ __all__ = [
     "BitMatrix",
     "rank",
     "solve",
-    "rank_augmented",
-    "mat_vec",
 ]
 
 
@@ -52,7 +50,7 @@ class BitVector:
 
     @classmethod
     def ones(cls, length: int) -> "BitVector":
-        return cls((1 << length) - 1 if length else 0, length)
+        return cls((1 << length) - 1, length)
 
     def __len__(self) -> int:
         return self.length
@@ -104,10 +102,6 @@ class BitMatrix:
         return cls(tuple(r.bits for r in rs), width)
 
     @classmethod
-    def from_row_lists(cls, rows: list[list[int]]) -> "BitMatrix":
-        return cls.from_rows([BitVector.from_bits(r) for r in rows])
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(tuple(1 << i for i in range(n)), n)
 
@@ -122,15 +116,6 @@ class BitMatrix:
         if not 0 <= j < self.n_cols:
             raise IndexError(j)
         return (self.rows[i] >> j) & 1
-
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.n_cols):
-            c = 0
-            for i, r in enumerate(self.rows):
-                c |= ((r >> j) & 1) << i
-            cols.append(c)
-        return BitMatrix(tuple(cols), self.n_rows)
 
 
 def _eliminate(rows: list[int], n_cols: int) -> tuple[int, list[int]]:
@@ -167,17 +152,6 @@ def rank(m: BitMatrix) -> int:
     return rk
 
 
-def rank_augmented(m: BitMatrix, b: BitVector) -> int:
-    """Rank of m with b appended as an extra (rightmost) column."""
-    if b.length != m.n_rows:
-        raise ValueError(
-            f"augmented column has length {b.length}, matrix has {m.n_rows} rows"
-        )
-    work = [m.rows[i] | (((b.bits >> i) & 1) << m.n_cols) for i in range(m.n_rows)]
-    rk, _ = _eliminate(work, m.n_cols + 1)
-    return rk
-
-
 def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
     """Solve m @ x = b over GF(2).
 
@@ -202,14 +176,3 @@ def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
         x |= ((work[i] >> nc) & 1) << col
     return BitVector(x, nc)
 
-
-def mat_vec(m: BitMatrix, x: BitVector) -> BitVector:
-    """Matrix-vector product over GF(2)."""
-    if x.length != m.n_cols:
-        raise ValueError(
-            f"vector has length {x.length}, matrix has {m.n_cols} columns"
-        )
-    out = 0
-    for i, r in enumerate(m.rows):
-        out |= ((r & x.bits).bit_count() & 1) << i
-    return BitVector(out, m.n_rows)

@@ -59,7 +59,7 @@ class VertexSet:
 
     @classmethod
     def full(cls, universe: int) -> "VertexSet":
-        return cls((1 << universe) - 1 if universe else 0, universe)
+        return cls((1 << universe) - 1, universe)
 
     @classmethod
     def from_indices(cls, universe: int, indices: Iterable[int]) -> "VertexSet":
@@ -211,6 +211,23 @@ def _odd_mask(adj: tuple[int, ...], mask: int) -> int:
     return acc
 
 
+def _neighbor_prefix(adj: tuple[int, ...]) -> list[int]:
+    # pre[r] = adj[0] ^ ... ^ adj[r]; stepping mask i-1 -> i flips the low
+    # run of i, so Odd updates by exactly pre[trailing_zeros(i)]
+    pre = []
+    acc = 0
+    for a in adj:
+        acc ^= a
+        pre.append(acc)
+    return pre
+
+
+def _gosper_next(m: int) -> int:
+    u = m & -m
+    v = m + u
+    return v | (((m ^ v) >> 2) // u)
+
+
 def odd_neighborhood(g: Graph, c: VertexSet) -> VertexSet:
     """Odd(C): vertices with an odd number of neighbors in C.
 
@@ -231,7 +248,7 @@ def closed_odd_neighborhood(g: Graph, c: VertexSet) -> VertexSet:
 
 def is_odd_dominating_set(g: Graph, c: VertexSet) -> bool:
     """True when Odd[C] covers every vertex."""
-    return closed_odd_neighborhood(g, c).mask == (1 << g.n) - 1 if g.n else True
+    return closed_odd_neighborhood(g, c).mask == (1 << g.n) - 1
 
 
 def complement(g: Graph) -> Graph:

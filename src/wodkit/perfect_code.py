@@ -17,13 +17,15 @@ from typing import Optional
 from .graph import (
     Graph,
     VertexSet,
+    _gosper_next,
+    _require_same_universe,
     complement,
     complete_multipartite,
     disjoint_union,
     max_degree,
     min_degree,
 )
-from .solvers import DEFAULT_CAP, _check_cap, _gosper_next, kappa, kappa_prime
+from .solvers import DEFAULT_CAP, _check_cap, kappa, kappa_prime
 
 __all__ = [
     "PerfectCode",
@@ -47,10 +49,7 @@ class PerfectCode:
 
 def is_perfect_code(g: Graph, c: VertexSet) -> bool:
     """True when c is independent and covers every outside vertex exactly once."""
-    if c.universe != g.n:
-        raise ValueError(
-            f"vertex set over universe {c.universe} used with graph of order {g.n}"
-        )
+    _require_same_universe(g, c)
     for v in c:
         if g.adj[v] & c.mask:
             return False

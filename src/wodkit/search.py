@@ -39,6 +39,16 @@ __all__ = [
 _T_CLAMP = 1e-12
 
 
+def _check_c(c: float) -> None:
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"target fraction c must be in (0, 1), got {c}")
+
+
+def _check_d(c: float, d: float) -> None:
+    if not 0.0 < d <= 1.0 - c + _T_CLAMP:
+        raise ValueError(f"set density d must be in (0, 1-c], got d={d} with c={c}")
+
+
 def binary_entropy(t: float) -> float:
     """H(t) = -t*log2(t) - (1-t)*log2(1-t), with H(0) = H(1) = 0."""
     if not 0.0 <= t <= 1.0:
@@ -60,12 +70,8 @@ class LLLParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"order n must be >= 1, got {self.n}")
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"target fraction c must be in (0, 1), got {self.c}")
-        if not 0.0 < self.d <= 1.0 - self.c + _T_CLAMP:
-            raise ValueError(
-                f"set density d must be in (0, 1-c], got d={self.d} with c={self.c}"
-            )
+        _check_c(self.c)
+        _check_d(self.c, self.d)
         if self.r < 2.0:
             raise ValueError(f"weight parameter r must be >= 2, got {self.r}")
 
@@ -90,10 +96,8 @@ def lll_condition(p: LLLParams) -> float:
 
 def lll_asymptotic_condition(c: float, d: float) -> float:
     """Two-term limit of the condition as r and n grow; <= 0 is feasible."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"target fraction c must be in (0, 1), got {c}")
-    if not 0.0 < d <= 1.0 - c + _T_CLAMP:
-        raise ValueError(f"set density d must be in (0, 1-c], got d={d} with c={c}")
+    _check_c(c)
+    _check_d(c, d)
     return _entropy_term(c, d)
 
 
@@ -135,8 +139,7 @@ def probability_lower_bound(n: int, c: float) -> float:
     """
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"target fraction c must be in (0, 1), got {c}")
+    _check_c(c)
     r = 4.0 * math.log(2.0) * (1.0 - c) * n * n
     return 0.25 ** (2.0 * (1.0 - c) * n / r)
 

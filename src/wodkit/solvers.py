@@ -13,7 +13,7 @@ kappa' is the minimum of |C| + s(C) over odd |C|.
 
 The table kernel lives in _table.py, wodkit's only numpy code, which is
 imported on the first call that runs it.  It computes s for every subset,
-one block of 2^_LO_BITS masks at a time.  kappa, kappa' and
+one block of 2^16 low masks at a time (_table._LO_BITS).  kappa, kappa' and
 check_threshold_condition are reductions over its blocks; kappa_q takes
 kappa and kappa' in one pass over them, and workers > 1 hands contiguous
 ranges of blocks to processes.  The pure kernels stay here and need no
@@ -38,7 +38,15 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, VertexSet, _odd_mask, max_degree, min_degree
+from .graph import (
+    Graph,
+    VertexSet,
+    _gosper_next,
+    _neighbor_prefix,
+    _odd_mask,
+    max_degree,
+    min_degree,
+)
 
 __all__ = [
     "DEFAULT_CAP",
@@ -56,15 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 30
-
-# a block of 2^16 uint32 masks is 256 KB and stays in L2; 18 bits ran
-# slower (order 24: 26 ms against 41 ms for a fused kappa_q pass)
-_LO_BITS = 16
-
-# Wrong-parity low masks get this size in the kappa' reduction, so they
-# never win: every |C u Odd(C)| is at most 62.  The uint8 sums stay exact
-# because 128 + 62 < 256.
-_OUT_OF_REACH = 128
 
 _ENGINES = ("auto", "pure", "numpy")
 
@@ -155,17 +154,6 @@ def kappa_prime_bounds(g: Graph) -> tuple[int, int]:
     return -(-g.n // (g.n - d)), d + 1
 
 
-def _neighbor_prefix(adj: tuple[int, ...]) -> list[int]:
-    # pre[r] = adj[0] ^ ... ^ adj[r]; stepping mask i-1 -> i flips the low
-    # run of i, so Odd updates by exactly pre[trailing_zeros(i)]
-    pre = []
-    acc = 0
-    for a in adj:
-        acc ^= a
-        pre.append(acc)
-    return pre
-
-
 def _scan_kappa(adj: tuple[int, ...], n: int, ub: int) -> tuple[int, int]:
     """Pure kappa scan: first (|Odd(C)\\C|, mask) maximum, stopping at ub."""
     pre = _neighbor_prefix(adj)
@@ -231,12 +219,6 @@ def kappa(
     else:
         best_v, best_m = _scan_kappa(g.adj, g.n, ub)
     return ExtremalResult(Quantity.KAPPA, best_v, VertexSet(best_m, g.n), (lo, ub))
-
-
-def _gosper_next(m: int) -> int:
-    u = m & -m
-    v = m + u
-    return v | (((m ^ v) >> 2) // u)
 
 
 def _kappa_prime_layered(adj: tuple[int, ...], n: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Optional
 
 from .gf2 import BitMatrix, BitVector, solve, rank
-from .graph import Graph, VertexSet, cut_matrix
+from .graph import Graph, VertexSet, _require_same_universe, cut_matrix
 
 __all__ = [
     "WodKind",
@@ -49,18 +49,17 @@ class WodCertificate:
     witness: VertexSet
 
 
-def _check_set(g: Graph, s: VertexSet) -> None:
-    if s.universe != g.n:
-        raise ValueError(
-            f"vertex set over universe {s.universe} used with graph of order {g.n}"
-        )
-
-
 def _wod_system(g: Graph, b: VertexSet) -> tuple[BitMatrix, BitVector, list[int]]:
     # cut matrix of V\B has rows indexed by B and columns by V\B
     outside = (~b).to_sorted_list()
     m = cut_matrix(g, ~b)
     return m, BitVector.ones(len(b)), outside
+
+
+def _non_wod_system(g: Graph, b: VertexSet) -> tuple[BitMatrix, BitMatrix]:
+    # (all-ones row over cut_matrix(B), cut_matrix(B)); the top row sums |D|
+    m = cut_matrix(g, b)
+    return BitMatrix(((1 << m.n_cols) - 1,) + m.rows, m.n_cols), m
 
 
 def is_wod(g: Graph, b: VertexSet) -> bool:
@@ -69,7 +68,7 @@ def is_wod(g: Graph, b: VertexSet) -> bool:
     Decided by solvability of the GF(2) cut system; the empty set is WOD
     and the full vertex set is not (for n >= 1).
     """
-    _check_set(g, b)
+    _require_same_universe(g, b)
     m, ones, _ = _wod_system(g, b)
     return solve(m, ones) is not None
 
@@ -79,10 +78,8 @@ def pi(g: Graph, b: VertexSet) -> int:
 
     Always 0 or 1; equals 0 exactly when B is WOD.
     """
-    _check_set(g, b)
-    m = cut_matrix(g, b)
-    width = m.n_cols
-    stacked = BitMatrix(((1 << width) - 1 if width else 0,) + m.rows, width)
+    _require_same_universe(g, b)
+    stacked, m = _non_wod_system(g, b)
     return rank(stacked) - rank(m)
 
 
@@ -92,7 +89,7 @@ def wod_certificate(g: Graph, b: VertexSet) -> Optional[VertexSet]:
     C is the solver's canonical solution (free variables zero) mapped back
     to vertex indices, so repeated runs return the same set.
     """
-    _check_set(g, b)
+    _require_same_universe(g, b)
     m, ones, outside = _wod_system(g, b)
     x = solve(m, ones)
     if x is None:
@@ -106,13 +103,10 @@ def non_wod_certificate(g: Graph, b: VertexSet) -> Optional[VertexSet]:
     Solves the stacked system (all-ones row over cut_matrix(B)) . d = (1, 0...):
     the first row forces |D| odd, the rest force Odd(D) inside B.
     """
-    _check_set(g, b)
+    _require_same_universe(g, b)
     members = b.to_sorted_list()
-    m = cut_matrix(g, b)
-    width = m.n_cols
-    stacked = BitMatrix(((1 << width) - 1 if width else 0,) + m.rows, width)
-    rhs = BitVector(1, m.n_rows + 1)
-    x = solve(stacked, rhs)
+    stacked, _ = _non_wod_system(g, b)
+    x = solve(stacked, BitVector(1, stacked.n_rows))
     if x is None:
         return None
     return VertexSet.from_indices(g.n, (members[j] for j in range(len(members)) if x[j]))
@@ -124,8 +118,8 @@ def verify_wod_certificate(g: Graph, b: VertexSet, c: VertexSet) -> bool:
     Recomputes neighbor parities vertex by vertex; shares no code with the
     solver path.
     """
-    _check_set(g, b)
-    _check_set(g, c)
+    _require_same_universe(g, b)
+    _require_same_universe(g, c)
     if b.mask & c.mask:
         return False
     for v in b:
@@ -136,8 +130,8 @@ def verify_wod_certificate(g: Graph, b: VertexSet, c: VertexSet) -> bool:
 
 def verify_non_wod_certificate(g: Graph, b: VertexSet, d: VertexSet) -> bool:
     """Pure predicate: D inside B, |D| odd, and Odd(D) inside B."""
-    _check_set(g, b)
-    _check_set(g, d)
+    _require_same_universe(g, b)
+    _require_same_universe(g, d)
     if d.mask & ~b.mask:
         return False
     if len(d) % 2 == 0:
@@ -155,7 +149,7 @@ def is_wod_bruteforce(g: Graph, b: VertexSet) -> bool:
     Guarded to |V\\B| <= BRUTEFORCE_LIMIT since the scan is exponential.
     Used by tests to cross-check the linear-algebra path.
     """
-    _check_set(g, b)
+    _require_same_universe(g, b)
     comp = ~b.mask & ((1 << g.n) - 1)
     free = comp.bit_count()
     if free > BRUTEFORCE_LIMIT:

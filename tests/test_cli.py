@@ -14,7 +14,6 @@ from wodkit import (
     kappa_prime,
     parse_graph6,
     random_graph,
-    solvers,
     verify_non_wod_certificate,
     verify_wod_certificate,
     write_graph6,
@@ -136,7 +135,7 @@ class TestCompute:
             monkeypatch.setattr(_table, "_odd_blocks", spy)
             assert cli.main(["compute", "--graph", write_graph6(g), flag,
                              "--engine", "numpy", "--no-timing"]) == 0
-            assert seen == list(range(1 << (g.n - solvers._LO_BITS))), flag
+            assert seen == list(range(1 << (g.n - _table._LO_BITS))), flag
             res = json.loads(capsys.readouterr().out)["results"]
             res.pop("bounds", None)
             assert res == want, flag
@@ -195,6 +194,12 @@ class TestVerify:
         proc = run_cli("verify", "--graph", "A_", "--certificate",
                        json.dumps({"kind": "WOD", "b": [5], "witness": []}))
         assert proc.returncode == 2
+
+    def test_deeply_nested_json_exits_2(self, capsys):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        deep = "[" * 5000 + "]" * 5000
+        assert cli.main(["verify", "--graph", "Cl", "--certificate", deep]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGenerate:

@@ -298,7 +298,10 @@ class TestCutMatrix:
             assert m.n_rows == n - len(b)
             assert m.n_cols == len(b)
             swapped = cut_matrix(g, ~b)
-            assert m.transpose().rows == swapped.rows
+            assert (swapped.n_rows, swapped.n_cols) == (m.n_cols, m.n_rows)
+            for i in range(m.n_rows):
+                for j in range(m.n_cols):
+                    assert m.entry(i, j) == swapped.entry(j, i)
 
 
 class TestRandomGraph:

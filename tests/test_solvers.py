@@ -30,8 +30,9 @@ from wodkit import (
     verify_non_wod_certificate,
     verify_wod_certificate,
 )
-from wodkit import _table, solvers
+from wodkit import _table
 from wodkit.fixtures import cycle, k4, q3
+from wodkit.graph import _neighbor_prefix
 
 
 def check_kappa_witness(g, res):
@@ -119,7 +120,7 @@ class TestKappa:
     def test_parallel_blocks_match_sequential(self):
         # two high bits: block 0 runs here, blocks 1..3 go to the pool,
         # for kappa alone and for the fused kappa_q pass
-        g = random_graph(solvers._LO_BITS + 2, 5)
+        g = random_graph(_table._LO_BITS + 2, 5)
         seq = kappa_q(g, engine="pure")
         for workers in (2, 3):
             par = kappa(g, workers=workers)
@@ -134,7 +135,7 @@ class TestKappa:
         monkeypatch.setattr(_table, "ProcessPoolExecutor", no_pool)
         # K_{1,21} spans several blocks but reaches its bound 21 at mask 1;
         # order 13 fits in one block
-        assert 13 <= solvers._LO_BITS < 22
+        assert 13 <= _table._LO_BITS < 22
         for g in (star(22), random_graph(13, 4)):
             seq = kappa(g, engine="pure")
             par = kappa(g, workers=2)
@@ -246,26 +247,6 @@ class TestKappaQ:
             assert res.value == max(kappa(g).value, kappa(complement(g)).value)
 
 
-class TestPopcountFallback:
-    def test_byte_table_popcount_agrees(self, monkeypatch):
-        # numpy < 2 has no bitwise_count; the tables must be rebuilt with
-        # the byte-table count too, and rebuilt again afterwards
-        _table._low_tables.cache_clear()
-        monkeypatch.setattr(_table, "_popcount_array", _table._popcount_bytes)
-        try:
-            graphs = oracle_corpus(31) + [random_graph(20, 77)]
-            for g in graphs:
-                want = kappa_q(g, engine="pure")
-                got = kappa_q(g, engine="numpy")
-                assert solved(got) == solved(want)
-                k = kappa(g, engine="numpy")
-                kp = kappa_prime(g, engine="numpy")
-                assert (k.value, k.witness.mask, kp.value, kp.witness.mask) == (
-                    solved(want)[1:])
-        finally:
-            _table._low_tables.cache_clear()
-
-
 class TestBounds:
     def test_k4_bounds_collapse(self):
         assert kappa_bounds(k4()) == (3, 3)
@@ -333,7 +314,7 @@ def threshold_loop(g, k):
     """Reference: the incremental pure-Python scan over all nonempty D."""
     n = g.n
     full = (1 << n) - 1
-    pre = solvers._neighbor_prefix(g.adj)
+    pre = _neighbor_prefix(g.adj)
     odd = 0
     for i in range(1, 1 << n):
         odd ^= pre[(i & -i).bit_length() - 1]
