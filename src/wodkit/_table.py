@@ -17,6 +17,7 @@ only the mask helpers of graph and nothing from solvers.
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -120,7 +121,10 @@ def _reduce_blocks(task: tuple) -> tuple[int, int, int, int]:
 def _table_scan(
     adj: tuple[int, ...], n: int, ub: int, prime: bool, workers: int | None
 ) -> tuple[int, int, int, int]:
-    """_reduce_blocks over every block, split across workers processes."""
+    """_reduce_blocks over every block, in up to workers ranges.
+
+    The ranges go to a process pool of at most one process per core.
+    """
     blocks = 1 << (n - _layout(n)[0])
     if not workers or workers < 2:
         return _reduce_blocks((adj, n, 0, blocks, ub, prime))
@@ -135,7 +139,8 @@ def _table_scan(
         (adj, n, s, min(s + chunk, blocks), rest_ub, prime)
         for s in range(1, blocks, chunk)
     ]
-    with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
+    procs = min(len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=procs) as ex:
         parts += ex.map(_reduce_blocks, tasks)
     # ranges ascend, so keeping the first strict optimum preserves the
     # smallest witness mask regardless of worker scheduling

@@ -9,6 +9,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -19,7 +20,6 @@ from . import __version__
 from .fixtures import FIXTURE_NAMES, named_fixture
 from .graph import (
     Graph,
-    Graph6Error,
     VertexSet,
     complement,
     complete_multipartite,
@@ -91,10 +91,10 @@ def _witness_payload(g: Graph, quantity: str, value: int, witness: VertexSet,
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     g = _read_graph(args)
-    want = {q for q in ("kappa", "kappa_prime", "kappa_q", "bounds")
-            if getattr(args, q)}
+    quantities = ("kappa", "kappa_prime", "kappa_q", "bounds")
+    want = {q for q in quantities if getattr(args, q)}
     if args.all or not want:
-        want = {"kappa", "kappa_prime", "kappa_q", "bounds"}
+        want = set(quantities)
     if "kappa_q" in want:
         want |= {"kappa", "kappa_prime"}
     t0 = time.perf_counter()
@@ -207,17 +207,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     for rep in reports:
         if rep.kappa_q < args.threshold * args.n:
             below += 1
-        line = {
-            "trial": rep.trial,
-            "seed": rep.seed,
-            "n": rep.n,
-            "kappa": rep.kappa,
-            "kappa_prime": rep.kappa_prime,
-            "kappa_q": rep.kappa_q,
-            "ratio": rep.ratio,
-        }
-        if not args.no_timing:
-            line["elapsed"] = rep.elapsed
+        line = dataclasses.asdict(rep)
+        if args.no_timing:
+            del line["elapsed"]
         print(json.dumps(line, sort_keys=True, separators=(",", ":")))
     ratios = [rep.ratio for rep in reports]
     summary = {
@@ -321,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2

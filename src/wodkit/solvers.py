@@ -16,14 +16,14 @@ imported on the first call that runs it.  It computes s for every subset,
 one block of 2^16 low masks at a time (_table._LO_BITS).  kappa, kappa' and
 check_threshold_condition are reductions over its blocks; kappa_q takes
 kappa and kappa' in one pass over them, and workers > 1 hands contiguous
-ranges of blocks to processes.  The pure kernels stay here and need no
-numpy: a scalar kappa scan, which steps from mask i-1 to mask i by
-flipping the low bit run of i and so costs one XOR and one popcount per
-subset, and a layered kappa' scan over odd |D| ascending, which stops at
-the first layers when the minimum degree is small.  Under "auto" every
-graph of order at most 18 takes only the pure scans and so never loads
-numpy; at order 19 kappa' takes the table once the minimum degree
-reaches 10, and from order 20 on kappa always does.
+ranges of blocks to a pool of at most one process per core.  The pure
+kernels stay here and need no numpy: a scalar kappa scan, which steps from
+mask i-1 to mask i by flipping the low bit run of i and so costs one XOR and
+one popcount per subset, and a layered kappa' scan over odd |D| ascending,
+which stops at the first layers when the minimum degree is small.  Under
+"auto" every graph of order at most 18 takes only the pure scans and so
+never loads numpy; at order 19 kappa' takes the table once the minimum
+degree reaches 10, and from order 20 on kappa always does.
 
 Every scan visits masks in ascending order and keeps the first optimum,
 so every engine and worker count returns the lexicographically smallest

@@ -14,3 +14,5 @@ def test_all_lists_resolve_and_package_reexports_them():
         assert not missing, (mod.__name__, missing)
     union = {name for mod in REEXPORTED for name in mod.__all__}
     assert set(wodkit.__all__) == union | {"__version__"}
+    # a name in two modules' lists would bind whichever star import ran last
+    assert len(wodkit.__all__) == len(set(wodkit.__all__))

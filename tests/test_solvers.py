@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,21 @@ class TestKappa:
             assert (par.value, par.witness.mask) == (seq.value, seq.witness.mask)
         res = kappa(star(22), workers=2)
         assert (res.value, res.witness.mask) == (21, 1)
+
+    def test_pool_bounded_by_core_count(self, monkeypatch):
+        sizes = []
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            assert max_workers <= os.cpu_count()
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(_table, "ProcessPoolExecutor", spy)
+        # order 22 has 64 blocks: block 0 runs here, and 63 workers get
+        # one block each, run by at most one thread per core
+        g = random_graph(22, 1)
+        assert solved(kappa_q(g, engine="numpy", workers=63)) == solved(kappa_q(g))
+        assert sizes == [min(63, os.cpu_count())]
 
     def test_uint64_table_above_order_31(self, monkeypatch):
         g = star(34)
