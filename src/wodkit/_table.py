@@ -1,9 +1,9 @@
 """The blocked Odd-table kernel, wodkit's only numpy code.
 
-solvers imports this module only where a scan takes the table: kappa with
-engine "numpy" or workers > 1, kappa' when its engine is "numpy", and
-check_threshold_condition.  A solve that runs only the pure scans never
-loads numpy or the process pool.
+solvers imports this module only where a scan takes the table:
+check_threshold_condition always, kappa and kappa' as solvers._uses_table
+decides.  A solve that runs only the pure scans never loads numpy or the
+process pool.
 
 _odd_blocks tables Odd(L) for all masks L of the low _LO_BITS vertices
 once, by XOR doubling, then walks the high blocks in ascending order:

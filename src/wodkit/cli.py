@@ -32,6 +32,8 @@ from .graph import (
 from .solvers import (
     DEFAULT_CAP,
     CapExceededError,
+    ExtremalResult,
+    Quantity,
     _kappa_pair,
     kappa,
     kappa_bounds,
@@ -48,7 +50,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "gpq", None):
+    if args.gpq is not None:
         parts = args.gpq.split(",")
         if len(parts) != 2:
             raise ValueError(f"--gpq expects P,Q, got {args.gpq!r}")
@@ -57,9 +59,9 @@ def _read_graph(args: argparse.Namespace) -> Graph:
         except ValueError:
             raise ValueError(f"--gpq expects two integers, got {args.gpq!r}") from None
         return complete_multipartite(p, q)
-    if getattr(args, "graph", None):
+    if args.graph is not None:
         return parse_graph6(args.graph)
-    if getattr(args, "file", None):
+    if args.file is not None:
         with open(args.file, "r", encoding="ascii") as fh:
             return parse_graph6(fh.read())
     data = sys.stdin.read()
@@ -68,10 +70,10 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     return parse_graph6(data)
 
 
-def _witness_payload(g: Graph, quantity: str, value: int, witness: VertexSet,
-                     bounds: tuple[int, int]) -> dict[str, Any]:
+def _witness_payload(g: Graph, res: ExtremalResult) -> dict[str, Any]:
+    witness, value = res.witness, res.value
     odd = odd_neighborhood(g, witness)
-    if quantity == "kappa":
+    if res.quantity is Quantity.KAPPA:
         dominated = odd - witness
         if len(dominated) != value or not verify_wod_certificate(g, dominated, witness):
             raise RuntimeError("internal error: kappa witness failed verification")
@@ -84,12 +86,15 @@ def _witness_payload(g: Graph, quantity: str, value: int, witness: VertexSet,
     return {
         "value": value,
         "witness": witness.to_sorted_list(),
-        "bounds": list(bounds),
+        "bounds": list(res.bounds_used),
         **extra,
     }
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    # kappa_prime and the bounds take no workers, so check them here for all
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     g = _read_graph(args)
     quantities = ("kappa", "kappa_prime", "kappa_q", "bounds")
     want = {q for q in quantities if getattr(args, q)}
@@ -116,14 +121,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         k_res = kappa(g, cap=args.cap, engine=args.engine, workers=args.workers)
     elif "kappa_prime" in want:
         kp_res = kappa_prime(g, cap=args.cap, engine=args.engine)
-    if k_res is not None:
-        results["kappa"] = _witness_payload(
-            g, "kappa", k_res.value, k_res.witness, k_res.bounds_used
-        )
-    if kp_res is not None:
-        results["kappa_prime"] = _witness_payload(
-            g, "kappa_prime", kp_res.value, kp_res.witness, kp_res.bounds_used
-        )
+    for res in (k_res, kp_res):
+        if res is not None:
+            results[res.quantity.value] = _witness_payload(g, res)
     if "kappa_q" in want:
         results["kappa_q"] = {"value": max(k_res.value, g.n - kp_res.value)}
     envelope: dict[str, Any] = {

@@ -23,7 +23,8 @@ one popcount per subset, and a layered kappa' scan over odd |D| ascending,
 which stops at the first layers when the minimum degree is small.  Under
 "auto" every graph of order at most 18 takes only the pure scans and so
 never loads numpy; at order 19 kappa' takes the table once the minimum
-degree reaches 10, and from order 20 on kappa always does.
+degree reaches 10, and from order 20 on kappa always does.  _uses_table
+holds this rule, and _kappa_pair alone decides whether the two share a pass.
 
 Every scan visits masks in ascending order and keeps the first optimum,
 so every engine and worker count returns the lexicographically smallest
@@ -83,7 +84,9 @@ class ExtremalResult:
 
     For KAPPA the witness C satisfies |Odd(C) \\ C| = value; for
     KAPPA_PRIME the witness D is odd-cardinality with |D u Odd(D)| = value.
-    bounds_used records the (lower, upper) bracket the solver pruned with.
+    bounds_used records the degree-based (lower, upper) bracket of the
+    quantity.  Only kappa prunes with it: its scan stops once it reaches the
+    upper bound.  kappa' scans without it.
     """
 
     quantity: Quantity
@@ -119,23 +122,23 @@ def _check_order(g: Graph, cap: int) -> None:
     _check_cap(g.n, cap)
 
 
-def _check_engine(engine: str) -> None:
+def _uses_table(g: Graph, engine: str, workers: int | None = None) -> tuple[bool, bool]:
+    """(kappa takes the table, kappa' takes the table) for a solve of g.
+
+    "numpy" sends both to the table kernel and "pure" neither.  "auto"
+    sends kappa there from order 20 on, and kappa' once its layered scan
+    would cost more than 2,000,000 steps.  workers > 1 sends kappa there
+    under every engine.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
-
-
-def _pick_engine(engine: str, n: int) -> str:
-    _check_engine(engine)
     if engine == "auto":
-        return "numpy" if n >= 20 else "pure"
-    return engine
-
-
-def _pick_prime_engine(engine: str, g: Graph) -> str:
-    _check_engine(engine)
-    if engine == "auto":
-        return "numpy" if _layered_cost(g.n, min_degree(g)) > 2_000_000 else "pure"
-    return engine
+        k, kp = g.n >= 20, _layered_cost(g.n, min_degree(g)) > 2_000_000
+    else:
+        k = kp = engine == "numpy"
+    return k or (workers or 1) > 1, kp
 
 
 def kappa_bounds(g: Graph) -> tuple[int, int]:
@@ -183,6 +186,11 @@ class _SharedScan:
 _SHARED_SCAN: ContextVar[_SharedScan | None] = ContextVar("_SHARED_SCAN", default=None)
 
 
+def _shared_slot(g: Graph) -> _SharedScan | None:
+    shared = _SHARED_SCAN.get()
+    return shared if shared is not None and shared.graph is g else None
+
+
 def kappa(
     g: Graph,
     *,
@@ -198,23 +206,17 @@ def kappa(
     witness are identical for every engine and worker count.
     """
     _check_order(g, cap)
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    eng = _pick_engine(engine, g.n)
+    table, _ = _uses_table(g, engine, workers)
     lo, ub = kappa_bounds(g)
     if ub == 0:
         return ExtremalResult(Quantity.KAPPA, 0, VertexSet.empty(g.n), (lo, ub))
-    if eng == "numpy" or (workers or 1) > 1:
-        shared = _SHARED_SCAN.get()
-        prime = (
-            shared is not None
-            and shared.graph is g
-            and _pick_prime_engine(engine, g) == "numpy"
-        )
+    if table:
+        shared = _shared_slot(g)
         from . import _table
 
-        best_v, best_m, pv, pm = _table._table_scan(g.adj, g.n, ub, prime, workers)
-        if prime:
+        fuse = shared is not None
+        best_v, best_m, pv, pm = _table._table_scan(g.adj, g.n, ub, fuse, workers)
+        if fuse:
             shared.kappa_prime = (pv, pm)
     else:
         best_v, best_m = _scan_kappa(g.adj, g.n, ub)
@@ -230,11 +232,11 @@ def _kappa_prime_layered(adj: tuple[int, ...], n: int) -> tuple[int, int]:
     """
     best_v = n + 1
     best_m = 0
-    k = 1
-    while k <= n and k <= best_v:
-        limit = 1 << n
+    limit = 1 << n
+    for k in range(1, n + 1, 2):
+        if k > best_v:
+            break
         m = (1 << k) - 1
-        floor_hit = False
         while m < limit:
             val = (m | _odd_mask(adj, m)).bit_count()
             if val < best_v or (val == best_v and m < best_m):
@@ -242,12 +244,8 @@ def _kappa_prime_layered(adj: tuple[int, ...], n: int) -> tuple[int, int]:
                 best_m = m
                 if val == k:
                     # nothing in this or any later layer can beat or tie it
-                    floor_hit = True
-                    break
+                    return best_v, best_m
             m = _gosper_next(m)
-        if floor_hit or k + 2 > best_v:
-            break
-        k += 2
     return best_v, best_m
 
 
@@ -269,18 +267,13 @@ def kappa_prime(
     """Exact kappa'(G) with the lexicographically smallest optimal witness D."""
     _check_order(g, cap)
     bounds = kappa_prime_bounds(g)
-    if _pick_prime_engine(engine, g) == "numpy":
-        shared = _SHARED_SCAN.get()
-        if (
-            shared is not None
-            and shared.graph is g
-            and shared.kappa_prime is not None
-        ):
-            best_v, best_m = shared.kappa_prime
-        else:
-            from . import _table
+    shared = _shared_slot(g)
+    if shared is not None and shared.kappa_prime is not None:
+        best_v, best_m = shared.kappa_prime
+    elif _uses_table(g, engine)[1]:
+        from . import _table
 
-            _, _, best_v, best_m = _table._table_scan(g.adj, g.n, -1, True, None)
+        _, _, best_v, best_m = _table._table_scan(g.adj, g.n, -1, True, None)
     else:
         best_v, best_m = _kappa_prime_layered(g.adj, g.n)
     return ExtremalResult(
@@ -291,8 +284,13 @@ def kappa_prime(
 def _kappa_pair(
     g: Graph, *, cap: int, engine: str, workers: int | None
 ) -> tuple[ExtremalResult, ExtremalResult]:
-    """kappa(g) and kappa_prime(g), sharing one table pass where both take it."""
-    token = _SHARED_SCAN.set(_SharedScan(g))
+    """kappa(g) and kappa_prime(g), sharing one table pass where both take it.
+
+    Only here is the pass shared: kappa fuses iff it finds g's slot.
+    """
+    _check_order(g, cap)
+    fuse = all(_uses_table(g, engine, workers))
+    token = _SHARED_SCAN.set(_SharedScan(g) if fuse else None)
     try:
         k = kappa(g, cap=cap, engine=engine, workers=workers)
         kp = kappa_prime(g, cap=cap, engine=engine)

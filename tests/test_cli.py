@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +105,23 @@ class TestCompute:
         proc = run_cli("compute", "--no-timing", stdin="")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("source", ["--graph", "--gpq", "--file"])
+    def test_empty_source_exits_2(self, source):
+        # an empty source is an input error; stdin holds a graph that
+        # would be read if the source fell through to it
+        proc = run_cli("compute", source, "", "--kappa", "--no-timing",
+                       stdin="C~\n")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--kappa-prime", "--bounds"])
+    def test_workers_zero_exits_2(self, flag, capsys):
+        assert cli.main(["compute", "--graph", "C~", flag, "--workers", "0",
+                         "--no-timing"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: workers must be >= 1, got 0\n"
+
     def test_cap_exceeded_exits_3(self):
         g6 = write_graph6(random_graph(31, 7))
         proc = run_cli("compute", "--graph", g6, "--kappa", "--no-timing")
@@ -117,10 +137,8 @@ class TestCompute:
         k = kappa(g, engine="numpy")
         kp = kappa_prime(g, engine="numpy")
         want = {
-            "kappa": cli._witness_payload(
-                g, "kappa", k.value, k.witness, k.bounds_used),
-            "kappa_prime": cli._witness_payload(
-                g, "kappa_prime", kp.value, kp.witness, kp.bounds_used),
+            "kappa": cli._witness_payload(g, k),
+            "kappa_prime": cli._witness_payload(g, kp),
             "kappa_q": {"value": max(k.value, g.n - kp.value)},
         }
         blocks = _table._odd_blocks
@@ -188,6 +206,12 @@ class TestVerify:
     def test_bad_kind_exits_2(self):
         proc = run_cli("verify", "--graph", "Cl", "--certificate",
                        json.dumps({"kind": "MAYBE", "b": [], "witness": []}))
+        assert proc.returncode == 2
+
+    def test_empty_graph_source_exits_2(self):
+        cert = json.dumps({"kind": "WOD", "b": [0], "witness": [1]})
+        proc = run_cli("verify", "--graph", "", "--certificate", cert,
+                       stdin="C~\n")
         assert proc.returncode == 2
 
     def test_vertex_out_of_range_exits_2(self):
@@ -303,3 +327,30 @@ class TestTopLevel:
         par = run_cli("compute", "--gpq", "3,3", "--all", "--no-timing",
                       "--workers", "2")
         assert base.stdout == par.stdout
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(argv, printed text) of every `$ wodkit ...` line in README's sh blocks."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            cmd, _, out = chunk.partition("\n")
+            argv = shlex.split(cmd, comments=True)
+            if argv[0] == "wodkit":
+                examples.append((argv[1:], out))
+    return examples
+
+
+@pytest.mark.parametrize("command", [
+    "compute", "verify", "generate gpq 2 3", "search",
+])
+def test_readme_example_output(command, capsys):
+    prefix = command.split()
+    [(argv, want)] = [(argv, out) for argv, out in readme_examples()
+                      if argv[:len(prefix)] == prefix]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want

@@ -31,9 +31,9 @@ from wodkit import (
     verify_non_wod_certificate,
     verify_wod_certificate,
 )
-from wodkit import _table
+from wodkit import _table, solvers
 from wodkit.fixtures import cycle, k4, q3
-from wodkit.graph import _neighbor_prefix
+from wodkit.graph import _neighbor_prefix, min_degree
 
 
 def check_kappa_witness(g, res):
@@ -261,6 +261,50 @@ class TestKappaQ:
             g = random_graph(n, rng.randrange(10**6))
             res = kappa_q(g)
             assert res.value == max(kappa(g).value, kappa(complement(g)).value)
+
+
+def circulant(n, offsets):
+    """Vertex i adjacent to i +- d mod n for every d in offsets."""
+    return Graph.from_edges(n, {tuple(sorted((i, (i + d) % n)))
+                                for i in range(n) for d in offsets})
+
+
+def test_kernel_choice_under_auto(monkeypatch):
+    # which kernels each solve runs: the table for kappa, kappa' or both in
+    # one fused pass, and the layered kappa' scan; the pure kappa scan is
+    # whatever is left
+    calls = []
+    table_scan = _table._table_scan
+    layered = solvers._kappa_prime_layered
+
+    def table_spy(adj, n, ub, prime, workers):
+        calls.append("fused" if ub >= 0 and prime
+                     else "table kappa" if ub >= 0 else "table kappa'")
+        return table_scan(adj, n, ub, prime, workers)
+
+    def layered_spy(adj, n):
+        calls.append("layered kappa'")
+        return layered(adj, n)
+
+    monkeypatch.setattr(_table, "_table_scan", table_spy)
+    monkeypatch.setattr(solvers, "_kappa_prime_layered", layered_spy)
+    # workers=2 below must not start processes
+    monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
+    dense19 = circulant(19, range(1, 6))
+    assert min_degree(random_graph(24, 1)) == 8
+    assert (dense19.n, min_degree(dense19)) == (19, 10)
+    cases = [
+        (random_graph(24, 1), {}, ["fused"]),
+        (power(q3(), 3), {}, ["table kappa", "layered kappa'"]),
+        (dense19, {}, ["table kappa'"]),
+        (random_graph(18, 1), {}, ["layered kappa'"]),
+        (random_graph(18, 1), {"engine": "pure", "workers": 2},
+         ["table kappa", "layered kappa'"]),
+    ]
+    for g, kwargs, want in cases:
+        calls.clear()
+        kappa_q(g, **kwargs)
+        assert calls == want, (g.n, kwargs)
 
 
 class TestBounds:
