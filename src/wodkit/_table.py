@@ -10,9 +10,13 @@ once, by XOR doubling, then walks the high blocks in ascending order:
 block h holds the masks C = h * 2^_LO_BITS + L, whose Odd(C) is the low
 table XOR Odd(h), and two xors, one and and one np.bitwise_count over
 the block give s(C) = |Odd(C) \\ C|.  Every consumer is a reduction over
-its blocks.  The block width _LO_BITS and the kappa' filler _OUT_OF_REACH
-belong to this kernel alone, so they are defined here; the module imports
-only the mask helpers of graph and nothing from solvers.
+its blocks.  A scan covers the subsets of the rows adj it is given, the
+first len(adj) vertices; n is the order, the width of Odd and of the mask
+dtype.  kappa and kappa' pass one row per twin class, and
+check_threshold_condition every row.  The block width _LO_BITS and the
+kappa' filler _OUT_OF_REACH belong to this kernel alone, so they are
+defined here; the module imports only the mask helpers of graph and
+nothing from solvers.
 """
 from __future__ import annotations
 
@@ -34,9 +38,9 @@ _LO_BITS = 16
 _OUT_OF_REACH = 128
 
 
-def _layout(n: int) -> tuple[int, type]:
-    """(low-bit width, mask dtype) of the table kernel at order n."""
-    return min(n, _LO_BITS), np.uint64 if n > 31 else np.uint32
+def _layout(adj: tuple[int, ...], n: int) -> tuple[int, type]:
+    """(low-bit width, mask dtype) of a scan over the rows adj at order n."""
+    return min(len(adj), _LO_BITS), np.uint64 if n > 31 else np.uint32
 
 
 @functools.cache
@@ -68,7 +72,7 @@ def _odd_blocks(adj: tuple[int, ...], n: int, start: int, stop: int):
     s[L] = |Odd(C) \\ C| as uint8.  s is one buffer reused for every block,
     so a consumer reduces it before it asks for the next block.
     """
-    lo, dt = _layout(n)
+    lo, dt = _layout(adj, n)
     not_low = _low_tables(lo, dt)[0]
     odd = np.empty(1 << lo, dtype=dt)
     odd[0] = 0
@@ -98,7 +102,7 @@ def _reduce_blocks(task: tuple) -> tuple[int, int, int, int]:
     |C| + s over odd |C|; without it, (n + 1, 0) comes back.
     """
     adj, n, start, stop, ub, prime = task
-    lo, dt = _layout(n)
+    lo, dt = _layout(adj, n)
     odd_sizes = _low_tables(lo, dt)[2]
     w = np.empty(1 << lo, dtype=np.uint8)
     kv, km, pv, pm = -1, 0, n + 1, 0
@@ -125,7 +129,7 @@ def _table_scan(
 
     The ranges go to a process pool of at most one process per core.
     """
-    blocks = 1 << (n - _layout(n)[0])
+    blocks = 1 << (len(adj) - _layout(adj, n)[0])
     if not workers or workers < 2:
         return _reduce_blocks((adj, n, 0, blocks, ub, prime))
     # block 0 runs here first: a bound reached in it, or a table of one
@@ -155,10 +159,10 @@ def _table_scan(
 
 def _threshold_scan(adj: tuple[int, ...], n: int, k: int) -> bool:
     """The block loop of check_threshold_condition, for n >= 1."""
-    lo, dt = _layout(n)
+    lo, dt = _layout(adj, n)
     sizes = _low_tables(lo, dt)[1]
     w = np.empty(1 << lo, dtype=np.uint8)
-    for h, s in _odd_blocks(adj, n, 0, 1 << (n - lo)):
+    for h, s in _odd_blocks(adj, n, 0, 1 << (len(adj) - lo)):
         # s of the empty set is 0, below every k > 0, and at k = 0 any
         # nonempty D fails as well, so the maximum may include it
         if int(s.max()) >= k:

@@ -26,6 +26,9 @@ never loads numpy; at order 19 kappa' takes the table once the minimum
 degree reaches 10, and from order 20 on kappa always does.  _uses_table
 holds this rule, and _kappa_pair alone decides whether the two share a pass.
 
+kappa and kappa' scan the subsets of one vertex per twin class, 2^r of
+them for r classes instead of 2^n (_twin_rows has the proof that values
+and witnesses stay the same); check_threshold_condition scans them all.
 Every scan visits masks in ascending order and keeps the first optimum,
 so every engine and worker count returns the lexicographically smallest
 witness.
@@ -157,12 +160,65 @@ def kappa_prime_bounds(g: Graph) -> tuple[int, int]:
     return -(-g.n // (g.n - d)), d + 1
 
 
-def _scan_kappa(adj: tuple[int, ...], n: int, ub: int) -> tuple[int, int]:
-    """Pure kappa scan: first (|Odd(C)\\C|, mask) maximum, stopping at ub."""
+def _twin_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(rows, reps): the rows a kappa or kappa' scan needs, one per twin class.
+
+    u and v are false twins when N(u) = N(v), and true twins when
+    N(u) u {u} = N(v) u {v}.  Both are equivalences, and no vertex has twins
+    of both kinds: if u, v are false twins and u, w true twins, then
+    w in N(u) = N(v), so v in N(w) \\ {u} = N(u) \\ {w}, yet v is not in
+    N(u).  reps holds the smallest vertex of each class, ascending.
+
+    Take C holding twins u and v, and C' = C \\ {u, v}.  For false twins
+    Odd(C) = Odd(C'); for true twins Odd(C) = Odd(C') xor {u, v}, and u, v
+    are in C.  Either way s(C') >= s(C) and |C' u Odd(C')| <= |C u Odd(C)|,
+    |C'| has the parity of |C|, and C' is nonempty when |C| is odd.  As
+    C' < C as an integer, the smallest optimum of kappa or of kappa' holds
+    at most one vertex of each class.  Swapping two twins is an
+    automorphism, so putting the class minimum in place of that vertex
+    keeps the value and gives a smaller integer unless it is the minimum
+    already: the smallest optimum is a subset of reps.
+
+    rows relabels the graph with reps as 0..r-1, in ascending order, and
+    the other vertices after them; rows[i] is the relabelled neighbourhood
+    of reps[i].  The relabelling keeps the order of the subsets of reps,
+    so an ascending scan of the 2^r masks over rows, which keeps the first
+    optimum, finds the same value and, through _from_reps, the same
+    witness.  kappa still stops at its degree bound, as the first mask
+    that reaches the bound is an optimum.
+    """
+    reps, others = [], []
+    open_rows, closed_rows = set(), set()
+    for v, row in enumerate(adj):
+        if row in open_rows or row | 1 << v in closed_rows:
+            others.append(v)
+        else:
+            reps.append(v)
+            open_rows.add(row)
+            closed_rows.add(row | 1 << v)
+    if not others:
+        return adj, tuple(reps)
+    pos = {v: i for i, v in enumerate(reps + others)}
+    rows = tuple(
+        sum(1 << pos[u] for u in range(len(adj)) if adj[v] >> u & 1) for v in reps
+    )
+    return rows, tuple(reps)
+
+
+def _from_reps(mask: int, reps: tuple[int, ...]) -> int:
+    """The vertex mask of a scan mask over _twin_rows' rows."""
+    return sum(1 << v for i, v in enumerate(reps) if mask >> i & 1)
+
+
+def _scan_kappa(adj: tuple[int, ...], ub: int) -> tuple[int, int]:
+    """Pure kappa scan over the subsets of the rows adj.
+
+    Returns the first (|Odd(C)\\C|, mask) maximum, stopping at ub.
+    """
     pre = _neighbor_prefix(adj)
     odd = 0
     best_v = best_m = 0
-    for i in range(1, 1 << n):
+    for i in range(1, 1 << len(adj)):
         odd ^= pre[(i & -i).bit_length() - 1]
         cnt = (odd & ~i).bit_count()
         if cnt > best_v:
@@ -210,30 +266,33 @@ def kappa(
     lo, ub = kappa_bounds(g)
     if ub == 0:
         return ExtremalResult(Quantity.KAPPA, 0, VertexSet.empty(g.n), (lo, ub))
+    rows, reps = _twin_rows(g.adj)
     if table:
         shared = _shared_slot(g)
         from . import _table
 
         fuse = shared is not None
-        best_v, best_m, pv, pm = _table._table_scan(g.adj, g.n, ub, fuse, workers)
+        best_v, best_m, pv, pm = _table._table_scan(rows, g.n, ub, fuse, workers)
         if fuse:
-            shared.kappa_prime = (pv, pm)
+            shared.kappa_prime = (pv, _from_reps(pm, reps))
     else:
-        best_v, best_m = _scan_kappa(g.adj, g.n, ub)
-    return ExtremalResult(Quantity.KAPPA, best_v, VertexSet(best_m, g.n), (lo, ub))
+        best_v, best_m = _scan_kappa(rows, ub)
+    witness = VertexSet(_from_reps(best_m, reps), g.n)
+    return ExtremalResult(Quantity.KAPPA, best_v, witness, (lo, ub))
 
 
 def _kappa_prime_layered(adj: tuple[int, ...], n: int) -> tuple[int, int]:
     """Layered scan over odd |D| ascending, masks ascending within a layer.
 
+    D ranges over the subsets of the rows adj, and n is the width of Odd.
     A layer of cardinality k only holds values >= k, so the search stops
     once the next layer index exceeds the best value; scanning through the
     layer equal to the best value keeps cross-layer ties canonical.
     """
     best_v = n + 1
     best_m = 0
-    limit = 1 << n
-    for k in range(1, n + 1, 2):
+    limit = 1 << len(adj)
+    for k in range(1, len(adj) + 1, 2):
         if k > best_v:
             break
         m = (1 << k) - 1
@@ -270,12 +329,15 @@ def kappa_prime(
     shared = _shared_slot(g)
     if shared is not None and shared.kappa_prime is not None:
         best_v, best_m = shared.kappa_prime
-    elif _uses_table(g, engine)[1]:
-        from . import _table
-
-        _, _, best_v, best_m = _table._table_scan(g.adj, g.n, -1, True, None)
     else:
-        best_v, best_m = _kappa_prime_layered(g.adj, g.n)
+        rows, reps = _twin_rows(g.adj)
+        if _uses_table(g, engine)[1]:
+            from . import _table
+
+            _, _, best_v, m = _table._table_scan(rows, g.n, -1, True, None)
+        else:
+            best_v, m = _kappa_prime_layered(rows, g.n)
+        best_m = _from_reps(m, reps)
     return ExtremalResult(
         Quantity.KAPPA_PRIME, best_v, VertexSet(best_m, g.n), bounds
     )
@@ -339,6 +401,10 @@ def check_threshold_condition(g: Graph, k: int, *, cap: int = DEFAULT_CAP) -> bo
     kappa_Q is below k; the converse need not hold.  With s = |Odd(D) \\ D|
     the two sides are |D| + s and n - s, so the scan stops at the first
     block holding some s >= k or some |D| + s <= n-k.
+
+    Unlike kappa and kappa', this scan covers every vertex, not one per
+    twin class: it needs every nonempty D, and removing a twin pair from
+    D = {u, v} leaves the empty set, which the condition leaves out.
     """
     _check_cap(g.n, cap)
     if k < 0:

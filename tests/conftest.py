@@ -1,15 +1,18 @@
-"""Shared set-based reference oracles.
+"""Shared set-based reference oracles, and graphs full of twins.
 
-Everything here recomputes definitions with plain Python sets and
-itertools enumeration, deliberately sharing no representation tricks with
-the package (no bitmask XOR, no incremental updates), so agreement is a
-genuine cross-check rather than the same code twice.
+The oracles recompute definitions with plain Python sets and itertools
+enumeration, deliberately sharing no representation tricks with the
+package (no bitmask XOR, no incremental updates), so agreement is a
+genuine cross-check rather than the same code twice.  twin_blowup builds
+graphs whose twin classes interleave in the labels, and full_width runs
+the package's own kernels on every vertex, the reference for the scans
+that cover one vertex per twin class.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from wodkit import Graph
+from wodkit import Graph, _table, kappa_bounds, solvers
 
 
 def neighbor_sets(g: Graph) -> list[set[int]]:
@@ -65,3 +68,37 @@ def all_labeled_graphs(n: int):
         yield Graph.from_edges(
             n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1)
         )
+
+
+def twin_blowup(g: Graph, sizes, true_twins, order) -> Graph:
+    """g with vertex v replaced by a class of sizes[v] twins.
+
+    The class is a clique of true twins where true_twins[v] holds, else an
+    independent set of false twins.  Class members of g's vertices take the
+    labels order[0], order[1], ... in turn, so classes interleave.
+    """
+    members, k = [], 0
+    for size in sizes:
+        members.append([order[k + i] for i in range(size)])
+        k += size
+    edges = set()
+    for v in range(g.n):
+        if true_twins[v]:
+            edges.update(combinations(members[v], 2))
+        for u in range(v):
+            if g.has_edge(u, v):
+                edges.update((a, b) for a in members[u] for b in members[v])
+    return Graph.from_edges(k, edges)
+
+
+def full_width(g: Graph) -> tuple[int, int, int, int]:
+    """(kappa, its witness mask, kappa', its witness mask) of g.
+
+    They come from kernel calls on every row of g, and the pure scans and
+    the table kernel must agree on them.
+    """
+    ub = kappa_bounds(g)[1]
+    kv, km = solvers._scan_kappa(g.adj, ub)
+    pv, pm = solvers._kappa_prime_layered(g.adj, g.n)
+    assert _table._table_scan(g.adj, g.n, ub, True, None) == (kv, km, pv, pm)
+    return kv, km, pv, pm

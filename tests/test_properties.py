@@ -1,0 +1,104 @@
+"""Property tests on graphs of order at most 10, drawn by hypothesis.
+
+derandomize=True makes every run draw the same examples, so these tests
+are as deterministic as the rest of the suite.  Half of the drawn graphs
+are twin blow-ups, where the scans cover fewer vertices than the graph
+has.  Local complementation is deliberately not among the properties:
+kappa, kappa' and kappa_Q all change under it.
+"""
+from __future__ import annotations
+
+import networkx as nx
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import full_width, twin_blowup
+from wodkit import (
+    Graph,
+    complement,
+    kappa,
+    kappa_prime,
+    kappa_q,
+    parse_graph6,
+    power,
+    write_graph6,
+)
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def plain_graphs(draw, min_n=1, max_n=10):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, on in zip(pairs, edges) if on])
+
+
+@st.composite
+def blowups(draw):
+    base = draw(plain_graphs(max_n=6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=base.n, max_size=base.n))
+    assume(sum(sizes) <= 10)
+    true_twins = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
+    order = draw(st.permutations(range(sum(sizes))))
+    return twin_blowup(base, sizes, true_twins, order)
+
+
+graphs = st.one_of(plain_graphs(), blowups())
+
+
+def solved(res):
+    """(kappa, its witness mask, kappa', its witness mask) of a kappa_q result."""
+    return (res.kappa.value, res.kappa.witness.mask,
+            res.kappa_prime.value, res.kappa_prime.witness.mask)
+
+
+@DETERMINISTIC
+@given(graphs)
+def test_engines_agree_on_values_and_witnesses(g):
+    # order <= 10 fits in one table block, so workers=2 starts no pool
+    want = full_width(g)
+    for kwargs in ({"engine": "pure"}, {"engine": "numpy"},
+                   {"engine": "numpy", "workers": 2}):
+        assert solved(kappa_q(g, **kwargs)) == want, kwargs
+
+
+@DETERMINISTIC
+@given(graphs, st.integers(2, 3))
+def test_copies_scale_kappa_and_keep_kappa_prime(g, r):
+    assume(r * g.n <= 20)
+    gr = power(g, r)
+    assert kappa(gr, engine="numpy").value == r * kappa(g).value
+    assert kappa_prime(gr, engine="numpy").value == kappa_prime(g).value
+
+
+@DETERMINISTIC
+@given(graphs)
+def test_kappa_prime_plus_complement_kappa_at_least_n(g):
+    assert kappa_prime(g).value + kappa(complement(g)).value >= g.n
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_relabelling_keeps_values(data):
+    g = data.draw(graphs)
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert kappa(h).value == kappa(g).value
+    assert kappa_prime(h).value == kappa_prime(g).value
+
+
+@DETERMINISTIC
+@given(plain_graphs(min_n=0, max_n=62))
+def test_graph6_round_trip_against_networkx(g):
+    text = write_graph6(g)
+    theirs = nx.from_graph6_bytes(text.encode())
+    assert sorted(theirs.nodes) == list(range(g.n))
+    assert sorted(tuple(sorted(e)) for e in theirs.edges) == g.edges()
+    mine = nx.Graph()
+    mine.add_nodes_from(range(g.n))
+    mine.add_edges_from(g.edges())
+    encoded = nx.to_graph6_bytes(mine, header=False)
+    assert encoded == (text + "\n").encode()
+    assert parse_graph6(encoded.decode()) == g

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_labeled_graphs, kappa_oracle, kappa_prime_oracle
+from conftest import (
+    all_labeled_graphs,
+    full_width,
+    kappa_oracle,
+    kappa_prime_oracle,
+    twin_blowup,
+)
 from wodkit import (
     CapExceededError,
     Graph,
@@ -143,6 +149,18 @@ class TestKappa:
             assert (par.value, par.witness.mask) == (seq.value, seq.witness.mask)
         res = kappa(star(22), workers=2)
         assert (res.value, res.witness.mask) == (21, 1)
+
+    def test_no_pool_when_twin_classes_fit_one_block(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(_table, "ProcessPoolExecutor", no_pool)
+        # order 24, but 12 classes of two false twins: the table has one
+        # block, so neither kappa nor the fused kappa_q pass needs a pool
+        g = complete_multipartite(2, 12)
+        res = kappa(g, workers=2)
+        assert (res.value, res.witness.mask) == (22, 1)
+        assert solved(kappa_q(g, workers=2)) == solved(kappa_q(g, engine="pure"))
 
     def test_pool_bounded_by_core_count(self, monkeypatch):
         sizes = []
@@ -305,6 +323,89 @@ def test_kernel_choice_under_auto(monkeypatch):
         calls.clear()
         kappa_q(g, **kwargs)
         assert calls == want, (g.n, kwargs)
+
+
+def seeded_blowup(rng, base_order):
+    base = random_graph(base_order, rng.randrange(10**6))
+    sizes = [rng.randint(1, 3) for _ in range(base.n)]
+    order = list(range(sum(sizes)))
+    rng.shuffle(order)
+    return twin_blowup(base, sizes, [rng.random() < 0.5 for _ in sizes], order)
+
+
+class TestTwinReduction:
+    ENGINES = ({"engine": "pure"}, {"engine": "numpy"},
+               {"engine": "numpy", "workers": 2})
+
+    def check(self, g):
+        want = full_width(g)
+        for kwargs in self.ENGINES:
+            assert solved(kappa_q(g, **kwargs))[1:] == want, (g.adj, kwargs)
+
+    def test_twin_classes(self):
+        # G_{2,3}: three classes of false twins; K4: one class of true
+        # twins; P4 has no twins, so its rows stay as they are
+        assert solvers._twin_rows(complete_multipartite(2, 3).adj)[1] == (0, 2, 4)
+        assert solvers._twin_rows(k4().adj) == ((0b1110,), (0,))
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert solvers._twin_rows(p4.adj) == (p4.adj, (0, 1, 2, 3))
+        # in the path 0-2-1, the false twin 1 moves after the
+        # representatives 0 and 2, which become 0 and 1
+        path = Graph.from_edges(3, [(0, 2), (1, 2)])
+        assert solvers._twin_rows(path.adj) == ((0b010, 0b101), (0, 2))
+        assert solvers._from_reps(0b10, (0, 2)) == 0b100
+
+    def test_every_labelled_graph_up_to_order_6(self, monkeypatch):
+        monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
+        for n in range(1, 7):
+            for g in all_labeled_graphs(n):
+                self.check(g)
+
+    def test_seeded_blowups(self, monkeypatch):
+        monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
+        rng = random.Random(44)
+        checked = 0
+        while checked < 200:
+            g = seeded_blowup(rng, rng.randint(1, 7))
+            if g.n <= 16:
+                self.check(g)
+                checked += 1
+
+    def test_blowups_past_one_block(self, monkeypatch):
+        # 18 classes over 19 to 22 vertices: two or four blocks, of which
+        # workers=2 hands all but the first to a pool
+        monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
+        rng = random.Random(45)
+        for extra in (1, 4):
+            base = random_graph(18, rng.randrange(10**6))
+            sizes = [1] * 18
+            for v in rng.sample(range(18), extra):
+                sizes[v] = 2
+            order = list(range(18 + extra))
+            rng.shuffle(order)
+            g = twin_blowup(base, sizes, [rng.random() < 0.5 for _ in sizes], order)
+            assert len(solvers._twin_rows(g.adj)[0]) == 18
+            ub = kappa_bounds(g)[1]
+            want = _table._table_scan(g.adj, g.n, ub, True, None)
+            for workers in (None, 2):
+                assert solved(kappa_q(g, engine="numpy", workers=workers))[1:] == want
+
+    def test_table_gets_one_row_per_twin_class(self, monkeypatch):
+        rows = []
+        table_scan = _table._table_scan
+
+        def spy(adj, n, ub, prime, workers):
+            rows.append(len(adj))
+            return table_scan(adj, n, ub, prime, workers)
+
+        monkeypatch.setattr(_table, "_table_scan", spy)
+        cases = [(complete_multipartite(2, 12), 12),
+                 (complete_multipartite(1, 24), 1),
+                 (random_graph(24, 1), 24)]
+        for g, want in cases:
+            rows.clear()
+            kappa_q(g)
+            assert rows == [want], g.n
 
 
 class TestBounds:
