@@ -1,10 +1,13 @@
 """Perfect codes and their ties to the extremal WOD quantities.
 
 A perfect code is an independent set C such that every vertex outside C
-has exactly one neighbor in C.  Two equivalences connect codes to the
-solvers: kappa(G) meets its degree upper bound n*Delta/(Delta+1) exactly
-when G has a perfect code of maximum-degree vertices, and for a delta-
-regular graph with n/(n-delta) odd, kappa'(G) meets its lower bound
+has exactly one neighbor in C; equivalently, the closed neighborhoods
+N[c] = N(c) | {c} of its members partition the vertex set.  One exact-cover
+search over closed neighborhoods finds the smallest code, optionally with
+its members restricted to a vertex subset.  Two equivalences connect codes
+to the solvers: kappa(G) meets its degree upper bound n*Delta/(Delta+1)
+exactly when G has a perfect code of maximum-degree vertices, and for a
+delta-regular graph with n/(n-delta) odd, kappa'(G) meets its lower bound
 n/(n-delta) exactly when the complement graph has a perfect code.  The K4
 gadget turns perfect-code existence in a cubic graph into a kappa' target
 on a complement graph.
@@ -17,7 +20,6 @@ from typing import Optional
 from .graph import (
     Graph,
     VertexSet,
-    _gosper_next,
     _require_same_universe,
     complement,
     complete_multipartite,
@@ -59,42 +61,68 @@ def is_perfect_code(g: Graph, c: VertexSet) -> bool:
     return True
 
 
+def _smallest_code(g: Graph, allowed: int) -> Optional[int]:
+    """Mask of the smallest perfect code with every member in allowed, or None.
+
+    C is a perfect code exactly when the closed neighborhoods N[c] =
+    N(c) | {c} of its members partition V: disjoint closed neighborhoods
+    make C independent and give each outside vertex at most one neighbor
+    in C, and covering V gives it at least one.  So the search is an exact
+    cover by closed neighborhoods.  The lowest vertex u that the chosen
+    members do not cover yet must be covered by exactly one member c of
+    N[u] & allowed whose N[c] misses everything already covered; the search
+    branches on each such c in ascending order.  Every code in allowed is
+    reached along exactly one branch, because each choice is forced by u.
+
+    A partial code only gains bits further down, so every code that extends
+    it is at least its mask.  A branch whose partial mask is already at
+    least the best complete code cannot lead to a smaller one and is cut,
+    and the code left in best at the end is the smallest.  Each level adds
+    one member, so the recursion is at most |C| <= n <= 62 deep.
+    """
+    full = (1 << g.n) - 1
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    best: Optional[int] = None
+
+    def extend(code: int, covered: int) -> None:
+        nonlocal best
+        if covered == full:
+            best = code
+            return
+        u = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered
+        cands = closed[u] & allowed & ~covered
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            c = low.bit_length() - 1
+            # c is uncovered, so not in code, and code | low grows with c
+            if best is not None and code | low >= best:
+                return
+            if not closed[c] & covered:
+                extend(code | low, covered | closed[c])
+
+    extend(0, 0)
+    return best
+
+
 def find_perfect_code(g: Graph, *, cap: int = DEFAULT_CAP) -> Optional[PerfectCode]:
     """Lexicographically smallest perfect code, or None.
 
-    Regular graphs admit a counting shortcut: every perfect code partitions
-    the vertices into closed neighborhoods of size Delta+1, so the code
-    size must be exactly n/(Delta+1) and only that layer is searched.
+    The code is the smallest set of vertices whose closed neighborhoods
+    partition V, found by `_smallest_code` with every vertex allowed.
     """
     _check_cap(g.n, cap)
-    if g.n == 0:
-        return PerfectCode(VertexSet.empty(0))
-    if g.is_regular():
-        d = g.degree(0)
-        if g.n % (d + 1) != 0:
-            return None
-        size = g.n // (d + 1)
-        limit = 1 << g.n
-        m = (1 << size) - 1
-        while m < limit:
-            c = VertexSet(m, g.n)
-            if is_perfect_code(g, c):
-                return PerfectCode(c)
-            m = _gosper_next(m)
-        return None
-    for m in range(1, 1 << g.n):
-        c = VertexSet(m, g.n)
-        if is_perfect_code(g, c):
-            return PerfectCode(c)
-    return None
+    mask = _smallest_code(g, (1 << g.n) - 1)
+    return None if mask is None else PerfectCode(VertexSet(mask, g.n))
 
 
 def check_kappa_equality(g: Graph, *, cap: int = DEFAULT_CAP) -> bool:
     """Evaluate both sides of the kappa upper-bound equality independently.
 
     Left side: kappa(G) == n*Delta/(Delta+1) (as exact rationals).  Right
-    side: G has a perfect code whose members all have degree Delta.  The
-    two sides are computed by unrelated search routines; the function
+    side: G has a perfect code whose members all have degree Delta, that
+    is, the closed neighborhoods of some degree-Delta vertices partition V.
+    The two sides are computed by unrelated search routines; the function
     reports whether the biconditional holds, which it must for every graph.
     """
     if g.n < 1:
@@ -102,20 +130,8 @@ def check_kappa_equality(g: Graph, *, cap: int = DEFAULT_CAP) -> bool:
     _check_cap(g.n, cap)
     delta = max_degree(g)
     lhs = kappa(g, cap=cap).value * (delta + 1) == g.n * delta
-    if g.is_regular():
-        # every vertex has degree Delta, so the degree restriction is vacuous
-        rhs = find_perfect_code(g, cap=cap) is not None
-    else:
-        full_degree = VertexSet.from_indices(
-            g.n, (v for v in range(g.n) if g.degree(v) == delta)
-        )
-        rhs = False
-        sub = full_degree.mask
-        while sub:
-            if is_perfect_code(g, VertexSet(sub, g.n)):
-                rhs = True
-                break
-            sub = (sub - 1) & full_degree.mask
+    full_degree = sum(1 << v for v in range(g.n) if g.degree(v) == delta)
+    rhs = _smallest_code(g, full_degree) is not None
     return lhs == rhs
 
 

@@ -13,16 +13,12 @@ increment pi(B) in {0, 1} decides between them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .gf2 import BitMatrix, BitVector, solve, rank
-from .graph import Graph, VertexSet, _require_same_universe, cut_matrix
+from .graph import Graph, VertexSet, _odd_mask, _require_same_universe, cut_matrix
 
 __all__ = [
-    "WodKind",
-    "WodCertificate",
     "is_wod",
     "pi",
     "wod_certificate",
@@ -34,19 +30,6 @@ __all__ = [
 ]
 
 BRUTEFORCE_LIMIT = 25
-
-
-class WodKind(Enum):
-    WOD = "WOD"
-    NON_WOD = "NON_WOD"
-
-
-@dataclass(frozen=True)
-class WodCertificate:
-    """Checkable witness: C proving B is WOD, or D proving it is not."""
-
-    kind: WodKind
-    witness: VertexSet
 
 
 def _wod_system(g: Graph, b: VertexSet) -> tuple[BitMatrix, BitVector, list[int]]:
@@ -159,13 +142,7 @@ def is_wod_bruteforce(g: Graph, b: VertexSet) -> bool:
     target = b.mask
     sub = comp
     while True:
-        odd = 0
-        m = sub
-        while m:
-            low = m & -m
-            odd ^= g.adj[low.bit_length() - 1]
-            m ^= low
-        if target & ~odd == 0:
+        if target & ~_odd_mask(g.adj, sub) == 0:
             return True
         if sub == 0:
             return False

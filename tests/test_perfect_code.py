@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import all_labeled_graphs
 from wodkit import (
     CapExceededError,
     Graph,
@@ -28,6 +29,14 @@ from wodkit.fixtures import cubic_graphs, cycle, k4, petersen, prism, q3
 
 def vs(universe: int, *idx: int) -> VertexSet:
     return VertexSet.from_indices(universe, idx)
+
+
+def random_and_small_graphs(seed: int, count: int, max_order: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_graph(rng.randint(1, max_order), rng.randrange(10**6))
+    for n in range(1, 6):
+        yield from all_labeled_graphs(n)
 
 
 def perfect_codes_bruteforce(g: Graph) -> list[int]:
@@ -79,10 +88,7 @@ class TestFindPerfectCode:
         assert find_perfect_code(g).code.mask == (1 << 5) - 1
 
     def test_matches_bruteforce_on_random_graphs(self):
-        rng = random.Random(51)
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            g = random_graph(n, rng.randrange(10**6))
+        for g in random_and_small_graphs(51, 40, 8):
             codes = perfect_codes_bruteforce(g)
             found = find_perfect_code(g)
             if codes:
@@ -90,6 +96,14 @@ class TestFindPerfectCode:
                 assert found.code.mask == min(codes)
             else:
                 assert found is None
+
+    def test_star_forest_order_24(self):
+        # four disjoint K_{1,5} whose centres are the last vertex of each
+        # block, so the smallest code is far up the ascending mask order
+        edges = [(c, v) for c in (5, 11, 17, 23) for v in range(c - 5, c)]
+        g = Graph.from_edges(24, edges)
+        assert find_perfect_code(g).code.to_sorted_list() == [5, 11, 17, 23]
+        assert check_kappa_equality(g)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -116,11 +130,8 @@ class TestKappaEquality:
                 assert check_kappa_equality(g), write_graph6(g)
 
     def test_random_graphs(self):
-        rng = random.Random(52)
-        for _ in range(30):
-            n = rng.randint(1, 9)
-            g = random_graph(n, rng.randrange(10**6))
-            assert check_kappa_equality(g)
+        for g in random_and_small_graphs(52, 30, 9):
+            assert check_kappa_equality(g), write_graph6(g)
 
     def test_regular_equality_is_biconditional(self):
         # for regular graphs the equality reduces to perfect-code existence

@@ -7,8 +7,6 @@ import pytest
 from conftest import all_labeled_graphs, is_wod_oracle
 from wodkit import (
     VertexSet,
-    WodCertificate,
-    WodKind,
     complement,
     complete_multipartite,
     is_wod,
@@ -249,11 +247,3 @@ class TestBruteforce:
             assert is_wod_bruteforce(g, b)
             assert is_wod(g, b)
 
-
-class TestWodCertificateType:
-    def test_kinds(self):
-        c = WodCertificate(WodKind.WOD, vs(5, 1))
-        d = WodCertificate(WodKind.NON_WOD, vs(5, 0))
-        assert c.kind.value == "WOD"
-        assert d.kind.value == "NON_WOD"
-        assert c.witness.to_sorted_list() == [1]
