@@ -16,22 +16,28 @@ imported on the first call that runs it.  It computes s for every subset,
 one block of 2^16 low masks at a time (_table._LO_BITS).  kappa, kappa' and
 check_threshold_condition are reductions over its blocks; kappa_q takes
 kappa and kappa' in one pass over them, and workers > 1 hands contiguous
-ranges of blocks to a pool of at most one process per core.  The pure
-kernels stay here and need no numpy: a scalar kappa scan, which steps from
-mask i-1 to mask i by flipping the low bit run of i and so costs one XOR and
-one popcount per subset, and a layered kappa' scan over odd |D| ascending,
-which stops at the first layers when the minimum degree is small.  Under
-"auto" every graph of order at most 18 takes only the pure scans and so
-never loads numpy; at order 19 kappa' takes the table once the minimum
-degree reaches 10, and from order 20 on kappa always does.  _uses_table
-holds this rule, and _kappa_pair alone decides whether the two share a pass.
+ranges of blocks to a pool of at most one process per core.
+
+The pure kernel stays here and needs no numpy: _layered_scan visits the
+subsets by cardinality, layer k = |C| = 1, 2, ..., and within a layer in
+ascending order.  The paper's bounds s(C) <= n - |C| and |C u Odd(C)| >=
+|C| end it early: kappa needs only the layers k <= n - kappa and kappa'
+only the odd layers k <= kappa', so on G(n, 1/2) it visits a few per cent
+of the subsets.  Where the layers kappa still needs hold most of the
+subsets, as on a cycle, the pass hands kappa to _scan_kappa, an ascending
+scan that steps from mask i-1 to mask i by flipping the low bit run of i
+and so costs one XOR and one popcount per subset.  When both quantities
+take the pure kernel, kappa_q gets them from one pass.  Under "auto" every
+graph of order at most 18 takes only the pure kernel and so never loads
+numpy; at order 19 kappa' takes the table once the minimum degree reaches
+10, and from order 20 on kappa always does.  _uses_table holds this rule,
+and _kappa_pair alone decides whether the two share a pass.
 
 kappa and kappa' scan the subsets of one vertex per twin class, 2^r of
 them for r classes instead of 2^n (_twin_rows has the proof that values
 and witnesses stay the same); check_threshold_condition scans them all.
-Every scan visits masks in ascending order and keeps the first optimum,
-so every engine and worker count returns the lexicographically smallest
-witness.
+Every scan returns the smallest optimal mask, in integer order, so every
+engine and worker count returns the lexicographically smallest witness.
 
 Everything refuses orders above an explicit cap rather than approximate.
 """
@@ -88,8 +94,8 @@ class ExtremalResult:
     For KAPPA the witness C satisfies |Odd(C) \\ C| = value; for
     KAPPA_PRIME the witness D is odd-cardinality with |D u Odd(D)| = value.
     bounds_used records the degree-based (lower, upper) bracket of the
-    quantity.  Only kappa prunes with it: its scan stops once it reaches the
-    upper bound.  kappa' scans without it.
+    quantity.  Only kappa prunes with it: once a scan reaches the upper
+    bound, it looks for no larger value.  kappa' scans without it.
     """
 
     quantity: Quantity
@@ -182,10 +188,8 @@ def _twin_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     rows relabels the graph with reps as 0..r-1, in ascending order, and
     the other vertices after them; rows[i] is the relabelled neighbourhood
     of reps[i].  The relabelling keeps the order of the subsets of reps,
-    so an ascending scan of the 2^r masks over rows, which keeps the first
-    optimum, finds the same value and, through _from_reps, the same
-    witness.  kappa still stops at its degree bound, as the first mask
-    that reaches the bound is an optimum.
+    so a scan of the 2^r masks over rows that returns the smallest optimal
+    mask finds the same value and, through _from_reps, the same witness.
     """
     reps, others = [], []
     open_rows, closed_rows = set(), set()
@@ -229,9 +233,75 @@ def _scan_kappa(adj: tuple[int, ...], ub: int) -> tuple[int, int]:
     return best_v, best_m
 
 
+# A layer step (Odd by _odd_mask, then Gosper's next mask) costs about four
+# steps of _scan_kappa, which flips one prefix row per mask
+_LAYER_COST = 4
+
+
+def _layered_scan(
+    adj: tuple[int, ...], n: int, ub: int, prime: bool
+) -> tuple[int, int, int, int]:
+    """(kappa value, mask, kappa' value, mask) over the subsets of the rows adj.
+
+    One pass visits the layers |C| = k = 1, 2, ... and, within a layer, the
+    masks in ascending Gosper order, and computes w = |C u Odd(C)| once per
+    mask; n is the width of Odd.  kappa is the maximum of s = w - k, and
+    kappa' the minimum of w over odd k.  Each keeps the smallest mask among
+    its optima, so a tie across layers goes to the smaller mask.  ub = -1
+    leaves kappa out, which then comes back as (-1, 0); without prime,
+    kappa' comes back as (n + 1, 0).
+
+    As s <= n - k and w >= k, kappa scans the layers k <= n - kv and
+    kappa' the odd layers k <= pv, for the best values kv and pv so far.
+    Once kv reaches ub, only a tie with a smaller mask can change the
+    witness, so each later layer stops at km; stopping outright, as
+    _scan_kappa does, would keep a witness that a smaller mask in a later
+    layer ties.  From k = 3 on, kappa goes to _scan_kappa instead once
+    _LAYER_COST times the masks of layers k..min(n - kv, r) reaches 2^r.
+    """
+    r = len(adj)
+    limit = 1 << r
+    kappa_on = ub >= 0
+    kv, km, pv, pm = 0 if kappa_on else -1, 0, n + 1, 0
+    for k in range(1, r + 1):
+        if not kappa_on and not (prime and k <= pv):
+            break
+        first = (1 << k) - 1
+        # w thresholds: a mask is looked at only if w >= kw or w <= pw
+        kstop, kw, pstop, pw = 0, n + 1, 0, -1
+        if kappa_on:
+            if n - k < kv or kv == ub and first >= km:
+                kappa_on = False
+            elif k >= 3 and _LAYER_COST * sum(
+                math.comb(r, j) for j in range(k, min(n - kv, r) + 1)
+            ) >= limit:
+                kv, km = _scan_kappa(adj, ub)
+                kappa_on = False
+            else:
+                kstop, kw = limit if kv < ub else km, kv + k
+        if prime and k & 1 and k <= pv:
+            pstop, pw = limit, pv
+        m, stop = first, max(kstop, pstop)
+        while m < stop:
+            w = (m | _odd_mask(adj, m)).bit_count()
+            if w >= kw and (w - k > kv or m < km):
+                # later masks of this layer are larger: only a gain counts
+                kv, km, kw = w - k, m, w + 1
+                if kv == min(ub, n - k):
+                    kstop = 0
+                    stop = pstop
+            if w <= pw and (w < pv or m < pm):
+                pv, pm, pw = w, m, w - 1
+                if w == k:
+                    pstop = 0
+                    stop = kstop
+            m = _gosper_next(m)
+    return kv, km, pv, pm
+
+
 @dataclass
 class _SharedScan:
-    """_kappa_pair's one table pass: kappa leaves the kappa' reduction here."""
+    """_kappa_pair's one shared pass: kappa leaves the kappa' reduction here."""
 
     graph: Graph
     kappa_prime: tuple[int, int] | None = None
@@ -256,8 +326,8 @@ def kappa(
 ) -> ExtremalResult:
     """Exact kappa(G) with the lexicographically smallest optimal witness C.
 
-    engine: "pure" walks masks incrementally, "numpy" uses the blocked
-    table kernel, "auto" picks by order.  workers > 1 runs the table
+    engine: "pure" runs the layered scan, "numpy" the blocked table
+    kernel, "auto" picks by order.  workers > 1 runs the table
     kernel with its blocks split across processes; the returned value and
     witness are identical for every engine and worker count.
     """
@@ -267,45 +337,18 @@ def kappa(
     if ub == 0:
         return ExtremalResult(Quantity.KAPPA, 0, VertexSet.empty(g.n), (lo, ub))
     rows, reps = _twin_rows(g.adj)
+    shared = _shared_slot(g)
+    fuse = shared is not None
     if table:
-        shared = _shared_slot(g)
         from . import _table
 
-        fuse = shared is not None
         best_v, best_m, pv, pm = _table._table_scan(rows, g.n, ub, fuse, workers)
-        if fuse:
-            shared.kappa_prime = (pv, _from_reps(pm, reps))
     else:
-        best_v, best_m = _scan_kappa(rows, ub)
+        best_v, best_m, pv, pm = _layered_scan(rows, g.n, ub, fuse)
+    if fuse:
+        shared.kappa_prime = (pv, _from_reps(pm, reps))
     witness = VertexSet(_from_reps(best_m, reps), g.n)
     return ExtremalResult(Quantity.KAPPA, best_v, witness, (lo, ub))
-
-
-def _kappa_prime_layered(adj: tuple[int, ...], n: int) -> tuple[int, int]:
-    """Layered scan over odd |D| ascending, masks ascending within a layer.
-
-    D ranges over the subsets of the rows adj, and n is the width of Odd.
-    A layer of cardinality k only holds values >= k, so the search stops
-    once the next layer index exceeds the best value; scanning through the
-    layer equal to the best value keeps cross-layer ties canonical.
-    """
-    best_v = n + 1
-    best_m = 0
-    limit = 1 << len(adj)
-    for k in range(1, len(adj) + 1, 2):
-        if k > best_v:
-            break
-        m = (1 << k) - 1
-        while m < limit:
-            val = (m | _odd_mask(adj, m)).bit_count()
-            if val < best_v or (val == best_v and m < best_m):
-                best_v = val
-                best_m = m
-                if val == k:
-                    # nothing in this or any later layer can beat or tie it
-                    return best_v, best_m
-            m = _gosper_next(m)
-    return best_v, best_m
 
 
 def _layered_cost(n: int, delta: int) -> int:
@@ -336,7 +379,7 @@ def kappa_prime(
 
             _, _, best_v, m = _table._table_scan(rows, g.n, -1, True, None)
         else:
-            best_v, m = _kappa_prime_layered(rows, g.n)
+            _, _, best_v, m = _layered_scan(rows, g.n, -1, True)
         best_m = _from_reps(m, reps)
     return ExtremalResult(
         Quantity.KAPPA_PRIME, best_v, VertexSet(best_m, g.n), bounds
@@ -346,12 +389,14 @@ def kappa_prime(
 def _kappa_pair(
     g: Graph, *, cap: int, engine: str, workers: int | None
 ) -> tuple[ExtremalResult, ExtremalResult]:
-    """kappa(g) and kappa_prime(g), sharing one table pass where both take it.
+    """kappa(g) and kappa_prime(g), sharing one pass where both take one kernel.
 
-    Only here is the pass shared: kappa fuses iff it finds g's slot.
+    Both take the table or both the layered scan; only here is the pass
+    shared: kappa fuses iff it finds g's slot.
     """
     _check_order(g, cap)
-    fuse = all(_uses_table(g, engine, workers))
+    k_table, p_table = _uses_table(g, engine, workers)
+    fuse = k_table == p_table
     token = _SHARED_SCAN.set(_SharedScan(g) if fuse else None)
     try:
         k = kappa(g, cap=cap, engine=engine, workers=workers)

@@ -94,11 +94,10 @@ def twin_blowup(g: Graph, sizes, true_twins, order) -> Graph:
 def full_width(g: Graph) -> tuple[int, int, int, int]:
     """(kappa, its witness mask, kappa', its witness mask) of g.
 
-    They come from kernel calls on every row of g, and the pure scans and
-    the table kernel must agree on them.
+    They come from kernel calls on every row of g, and the layered pure
+    pass and the table kernel must agree on them.
     """
     ub = kappa_bounds(g)[1]
-    kv, km = solvers._scan_kappa(g.adj, ub)
-    pv, pm = solvers._kappa_prime_layered(g.adj, g.n)
-    assert _table._table_scan(g.adj, g.n, ub, True, None) == (kv, km, pv, pm)
-    return kv, km, pv, pm
+    got = solvers._layered_scan(g.adj, g.n, ub, True)
+    assert _table._table_scan(g.adj, g.n, ub, True, None) == got
+    return got

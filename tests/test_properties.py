@@ -1,10 +1,11 @@
-"""Property tests on graphs of order at most 10, drawn by hypothesis.
+"""Property tests on graphs drawn by hypothesis.
 
-derandomize=True makes every run draw the same examples, so these tests
-are as deterministic as the rest of the suite.  Half of the drawn graphs
-are twin blow-ups, where the scans cover fewer vertices than the graph
-has.  Local complementation is deliberately not among the properties:
-kappa, kappa' and kappa_Q all change under it.
+The graphs are arbitrary ones of order at most 10, and seeded G(n, 1/2)
+of order at most 14.  derandomize=True makes every run draw the same
+examples, so these tests are as deterministic as the rest of the suite.
+Half of the arbitrary graphs are twin blow-ups, where the scans cover
+fewer vertices than the graph has.  Local complementation is deliberately
+not among the properties: kappa, kappa' and kappa_Q all change under it.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from wodkit import (
     kappa_q,
     parse_graph6,
     power,
+    random_graph,
     write_graph6,
 )
 
@@ -46,6 +48,7 @@ def blowups(draw):
 
 
 graphs = st.one_of(plain_graphs(), blowups())
+seeded_graphs = st.builds(random_graph, st.integers(1, 14), st.integers(0, 10**6))
 
 
 def solved(res):
@@ -62,6 +65,16 @@ def test_engines_agree_on_values_and_witnesses(g):
     for kwargs in ({"engine": "pure"}, {"engine": "numpy"},
                    {"engine": "numpy", "workers": 2}):
         assert solved(kappa_q(g, **kwargs)) == want, kwargs
+
+
+@DETERMINISTIC
+@given(seeded_graphs)
+def test_pure_matches_numpy_on_seeded_graphs(g):
+    # the fused layered pass, and kappa and kappa' each on their own
+    pure, table = kappa_q(g, engine="pure"), kappa_q(g, engine="numpy")
+    assert solved(pure) == solved(table)
+    assert kappa(g, engine="pure") == table.kappa
+    assert kappa_prime(g, engine="pure") == table.kappa_prime
 
 
 @DETERMINISTIC

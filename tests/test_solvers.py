@@ -289,35 +289,47 @@ def circulant(n, offsets):
 
 def test_kernel_choice_under_auto(monkeypatch):
     # which kernels each solve runs: the table for kappa, kappa' or both in
-    # one fused pass, and the layered kappa' scan; the pure kappa scan is
-    # whatever is left
+    # one fused pass, the layered pure pass likewise, and the ascending
+    # kappa scan that the layered pass falls back to
     calls = []
     table_scan = _table._table_scan
-    layered = solvers._kappa_prime_layered
+    layered = solvers._layered_scan
+    ascending = solvers._scan_kappa
+
+    def label(kernel, ub, prime):
+        return (f"{kernel} fused" if ub >= 0 and prime
+                else f"{kernel} kappa" if ub >= 0 else f"{kernel} kappa'")
 
     def table_spy(adj, n, ub, prime, workers):
-        calls.append("fused" if ub >= 0 and prime
-                     else "table kappa" if ub >= 0 else "table kappa'")
+        calls.append(label("table", ub, prime))
         return table_scan(adj, n, ub, prime, workers)
 
-    def layered_spy(adj, n):
-        calls.append("layered kappa'")
-        return layered(adj, n)
+    def layered_spy(adj, n, ub, prime):
+        calls.append(label("layered", ub, prime))
+        return layered(adj, n, ub, prime)
+
+    def ascending_spy(adj, ub):
+        calls.append("ascending kappa")
+        return ascending(adj, ub)
 
     monkeypatch.setattr(_table, "_table_scan", table_spy)
-    monkeypatch.setattr(solvers, "_kappa_prime_layered", layered_spy)
+    monkeypatch.setattr(solvers, "_layered_scan", layered_spy)
+    monkeypatch.setattr(solvers, "_scan_kappa", ascending_spy)
     # workers=2 below must not start processes
     monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
     dense19 = circulant(19, range(1, 6))
     assert min_degree(random_graph(24, 1)) == 8
     assert (dense19.n, min_degree(dense19)) == (19, 10)
     cases = [
-        (random_graph(24, 1), {}, ["fused"]),
+        (random_graph(24, 1), {}, ["table fused"]),
         (power(q3(), 3), {}, ["table kappa", "layered kappa'"]),
-        (dense19, {}, ["table kappa'"]),
-        (random_graph(18, 1), {}, ["layered kappa'"]),
+        (dense19, {}, ["layered kappa", "table kappa'"]),
+        (random_graph(18, 1), {}, ["layered fused"]),
+        (random_graph(18, 1), {"engine": "pure"}, ["layered fused"]),
         (random_graph(18, 1), {"engine": "pure", "workers": 2},
          ["table kappa", "layered kappa'"]),
+        # kappa is 4 after two layers, so layers 3..14 would cover most subsets
+        (cycle(18), {}, ["layered fused", "ascending kappa"]),
     ]
     for g, kwargs, want in cases:
         calls.clear()
@@ -406,6 +418,76 @@ class TestTwinReduction:
             rows.clear()
             kappa_q(g)
             assert rows == [want], g.n
+
+
+def path(n):
+    """P_n through 0, 1, ..., n-1."""
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def check_layered(g, rows=None):
+    """_layered_scan fused, kappa only and kappa' only, against the table.
+
+    The scans cover the rows given, or else every row of g.
+    """
+    adj, n, ub = rows or g.adj, g.n, kappa_bounds(g)[1]
+    kv, km, pv, pm = _table._table_scan(adj, n, ub, True, None)
+    assert solvers._layered_scan(adj, n, ub, True) == (kv, km, pv, pm), adj
+    assert solvers._layered_scan(adj, n, ub, False) == (kv, km, n + 1, 0), adj
+    assert solvers._layered_scan(adj, n, -1, True) == (-1, 0, pv, pm), adj
+
+
+class TestLayeredScan:
+    """The layered pass against the table kernel, on values and witnesses.
+
+    Each test runs twice: with the fallback to the ascending kappa scan as
+    it ships, and with it switched off, so that graphs small enough to take
+    it still run every layer.
+    """
+
+    @pytest.fixture(autouse=True, params=["fallback", "no fallback"])
+    def layer_cost(self, request, monkeypatch):
+        if request.param == "no fallback":
+            monkeypatch.setattr(solvers, "_LAYER_COST", 0)
+
+    def test_every_labelled_graph_up_to_order_6(self):
+        for n in range(1, 7):
+            for g in all_labeled_graphs(n):
+                check_layered(g)
+
+    def test_seeded_blowups(self):
+        rng = random.Random(46)
+        for _ in range(60):
+            g = seeded_blowup(rng, rng.randint(1, 6))
+            check_layered(g)
+            check_layered(g, solvers._twin_rows(g.adj)[0])
+
+    def test_families(self):
+        check_layered(q3())
+        check_layered(Graph.empty(1))
+        for n in range(3, 19):
+            for g in (cycle(n), path(n), star(n)):
+                check_layered(g)
+
+    def test_smallest_witness_in_a_later_layer(self):
+        # the path 0-3-2-1 and an isolated vertex: {2} is the first optimum
+        # found, in layer 1, but {0, 1} ties it in layer 2 and is smaller;
+        # kappa = 2 stays below the bound 3
+        g = Graph.from_edges(5, [(0, 3), (1, 2), (2, 3)])
+        assert kappa_bounds(g)[1] == 3
+        for m in (0b100, 0b11):
+            assert len(odd_neighborhood(g, VertexSet(m, 5)) - VertexSet(m, 5)) == 2
+        assert solvers._layered_scan(g.adj, 5, 3, True)[:2] == (2, 0b11)
+        check_layered(g)
+
+    def test_tie_after_the_degree_bound(self):
+        # the same path alone: {2} reaches the bound 2 in layer 1, and the
+        # smaller {0, 1} ties it in layer 2, so the pass must not stop there
+        g = Graph.from_edges(4, [(0, 3), (1, 2), (2, 3)])
+        assert kappa_bounds(g)[1] == 2
+        assert solvers._layered_scan(g.adj, 4, 2, False)[:2] == (2, 0b11)
+        assert solvers._scan_kappa(g.adj, 2) == (2, 0b11)
+        check_layered(g)
 
 
 class TestBounds:
