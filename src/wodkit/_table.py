@@ -1,7 +1,7 @@
 """The blocked Odd-table kernel, wodkit's only numpy code.
 
 solvers imports this module only where a scan takes the table:
-check_threshold_condition always, kappa and kappa' as solvers._uses_table
+check_threshold_condition always, kappa and kappa' as solvers._plan
 decides.  A solve that runs only the pure scans never loads numpy or the
 process pool.
 

@@ -27,17 +27,34 @@ of the subsets.  Where the layers kappa still needs hold most of the
 subsets, as on a cycle, the pass hands kappa to _scan_kappa, an ascending
 scan that steps from mask i-1 to mask i by flipping the low bit run of i
 and so costs one XOR and one popcount per subset.  When both quantities
-take the pure kernel, kappa_q gets them from one pass.  Under "auto" every
-graph of order at most 18 takes only the pure kernel and so never loads
-numpy; at order 19 kappa' takes the table once the minimum degree reaches
-10, and from order 20 on kappa always does.  _uses_table holds this rule,
-and _kappa_pair alone decides whether the two share a pass.
+take the pure kernel, kappa_q gets them from one pass.
 
 kappa and kappa' scan the subsets of one vertex per twin class, 2^r of
 them for r classes instead of 2^n (_twin_rows has the proof that values
 and witnesses stay the same); check_threshold_condition scans them all.
 Every scan returns the smallest optimal mask, in integer order, so every
 engine and worker count returns the lexicographically smallest witness.
+
+"auto" first tries to solve a graph part by part.  When G or its
+complement is disconnected, _split cuts it into components or
+co-components, recursively, down to leaves that are connected and
+co-connected.  One ascending scan per leaf gives its parity profile: the
+best s over even and over odd subsets, and the least |C u Odd(C)| over
+odd ones.  Profiles add up over a union and map through two identities
+over a join (_profile has the proofs), and the root's profile holds both
+kappa and kappa' with their smallest witnesses.  The split is taken when
+its leaves hold fewer masks than the 2^r of a whole-graph scan, with a
+leaf mask weighed at its measured cost against a mask of that scan
+(_LEAF_COST).  Three disjoint copies of a cubic graph of order 8 then
+cost 768 leaf masks instead of 2^24 table masks.  Otherwise "auto" scans
+the whole graph: kappa takes the table from r = 20 twin classes on, and
+kappa' once its layered scan over the r rows would cost more than
+2,000,000 steps, which first happens at r = 19 with minimum degree 10.
+So without workers, a graph of at most 18 twin classes never loads
+numpy.  _plan holds this rule and says whether one pass can serve kappa
+and kappa'; only _kappa_pair asks for that pass.  "pure" and "numpy"
+always scan the whole graph, so each stays an independent check of the
+split.
 
 Everything refuses orders above an explicit cap rather than approximate.
 """
@@ -131,23 +148,65 @@ def _check_order(g: Graph, cap: int) -> None:
     _check_cap(g.n, cap)
 
 
-def _uses_table(g: Graph, engine: str, workers: int | None = None) -> tuple[bool, bool]:
-    """(kappa takes the table, kappa' takes the table) for a solve of g.
+# A leaf's ascending scan costs about 0.092 us a mask.  Over the 2^r masks
+# of a whole-graph scan, the table kernel costs about 0.45 ns a mask, and
+# the pure scans 9 to 67 ns (unions of two G(n, 1/2), n + n' = 13..18), so
+# a leaf mask weighs as much as 200 table masks or about 4 pure ones
+_LEAF_COST = 200
+_LEAF_COST_PURE = 4
 
-    "numpy" sends both to the table kernel and "pure" neither.  "auto"
-    sends kappa there from order 20 on, and kappa' once its layered scan
-    would cost more than 2,000,000 steps.  workers > 1 sends kappa there
-    under every engine.
+
+@dataclass(frozen=True)
+class _Plan:
+    """How a solve of g runs: g's twin rows, then a split or the kernels.
+
+    With split set, kappa and kappa' come from its profile; otherwise
+    kappa_table and prime_table say which of them take the table kernel
+    over rows, and the others take the layered scan.
+    """
+
+    rows: tuple[int, ...]
+    reps: tuple[int, ...]
+    kappa_table: bool = False
+    prime_table: bool = False
+    split: _Part | None = None
+
+    @property
+    def one_pass(self) -> bool:
+        """Whether one pass serves kappa and kappa': a split, or one kernel."""
+        return self.split is not None or self.kappa_table == self.prime_table
+
+
+def _plan(g: Graph, engine: str, workers: int | None = None) -> _Plan:
+    """The kernels of a solve of g: the one place that chooses them.
+
+    "numpy" sends kappa and kappa' to the table kernel and "pure" to the
+    layered scan, each over the r twin rows of the whole graph.  "auto"
+    splits g into parts when g or its complement is disconnected and the
+    leaves of the split, weighed by _LEAF_COST where kappa would take the
+    table and by _LEAF_COST_PURE where it would not, hold fewer masks than
+    2^r.  Otherwise it sends kappa to the table from r = 20 on, and kappa'
+    once its layered scan over the r rows would cost more than 2,000,000
+    steps.
+    workers > 1 sends kappa to the table wherever the whole graph is
+    scanned.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
+    rows, reps = _twin_rows(g.adj)
+    r = len(rows)
     if engine == "auto":
-        k, kp = g.n >= 20, _layered_cost(g.n, min_degree(g)) > 2_000_000
+        k = r >= 20
+        split = _split(g.adj)
+        weight = _LEAF_COST if k else _LEAF_COST_PURE
+        if split is not None and weight * _leaf_masks(split) < 1 << r:
+            return _Plan(rows, reps, split=split)
+        kp = _layered_cost(r, min_degree(g)) > 2_000_000
     else:
         k = kp = engine == "numpy"
-    return k or (workers or 1) > 1, kp
+    return _Plan(rows, reps, k or (workers or 1) > 1, kp)
 
 
 def kappa_bounds(g: Graph) -> tuple[int, int]:
@@ -299,11 +358,189 @@ def _layered_scan(
     return kv, km, pv, pm
 
 
+@dataclass(frozen=True)
+class _Part:
+    """A node of a split: a vertex set P of g, as a leaf or as children.
+
+    A leaf holds one row per twin class of the graph it induces, relabelled
+    0..len(rows)-1 like _twin_rows' rows, and verts[i], the vertex of g
+    behind row i.  An inner node unites its children's profiles; with
+    join, the children are the components of the complement of the graph
+    P induces, and the united profile goes through the join identities.
+    """
+
+    size: int
+    join: bool = False
+    children: tuple[_Part, ...] = ()
+    rows: tuple[int, ...] = ()
+    verts: tuple[int, ...] = ()
+
+
+def _components(adj: tuple[int, ...], part: int, co: bool) -> list[int]:
+    """The vertex masks of the components of H[part], ascending by least vertex.
+
+    H is the graph of the rows adj, or with co its complement.
+    """
+    comps = []
+    while part:
+        comp = frontier = part & -part
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                row = adj[low.bit_length() - 1]
+                # ~row also holds the vertex itself, which comp already has
+                reach |= ~row if co else row
+                frontier ^= low
+            frontier = reach & part & ~comp
+            comp |= frontier
+        comps.append(comp)
+        part &= ~comp
+    return comps
+
+
+def _split(adj: tuple[int, ...]) -> _Part | None:
+    """g as a union of its components or a join of its co-components.
+
+    None when g and its complement are both connected.  Each part then
+    splits the same way, down to leaves that are connected and co-connected
+    (Gallai's modular decomposition, cut at its prime and single-vertex
+    modules).
+    """
+    full = (1 << len(adj)) - 1
+    for co in (False, True):
+        parts = _components(adj, full, co)
+        if len(parts) > 1:
+            return _Part(len(adj), co, tuple(_module(adj, p, co) for p in parts))
+    return None
+
+
+def _module(adj: tuple[int, ...], part: int, co: bool) -> _Part:
+    """The split of H[part], which is connected; H is g, or with co its complement."""
+    if not part & (part - 1):
+        return _Part(1, rows=(0,), verts=(part.bit_length() - 1,))
+    parts = _components(adj, part, not co)
+    if len(parts) > 1:
+        return _Part(part.bit_count(), True,
+                     tuple(_module(adj, p, not co) for p in parts))
+    verts = [v for v in range(len(adj)) if part >> v & 1]
+    local = []
+    for v in verts:
+        row = (~adj[v] if co else adj[v]) & part & ~(1 << v)
+        local.append(sum(1 << i for i, u in enumerate(verts) if row >> u & 1))
+    rows, reps = _twin_rows(tuple(local))
+    return _Part(len(verts), rows=rows, verts=tuple(verts[i] for i in reps))
+
+
+def _leaf_masks(part: _Part) -> int:
+    """The masks the leaf scans of a split visit."""
+    if not part.children:
+        return 1 << len(part.rows)
+    return sum(_leaf_masks(c) for c in part.children)
+
+
+def _better(v: int, m: int, v2: int, m2: int) -> tuple[int, int]:
+    """The larger value with its mask, the smaller mask on a tie."""
+    return (v, m) if v > v2 or v == v2 and m < m2 else (v2, m2)
+
+
+def _leaf_profile(part: _Part) -> tuple[int, int, int, int, int, int]:
+    """_profile of a leaf, by one ascending scan over the subsets of its rows.
+
+    The first strict improvement of each optimum is its smallest mask.
+    _twin_rows' proof covers the three optima, as removing a twin pair
+    keeps the parity of |C|, and C' may be empty only when C is even.
+    """
+    rows = part.rows
+    pre = _neighbor_prefix(rows)
+    odd = ev = em = om = wm = 0
+    ov, wv = -1, part.size + 1
+    for i in range(1, 1 << len(rows)):
+        odd ^= pre[(i & -i).bit_length() - 1]
+        s = (odd & ~i).bit_count()
+        k = i.bit_count()
+        if k & 1:
+            if s > ov:
+                ov, om = s, i
+            if s + k < wv:
+                wv, wm = s + k, i
+        elif s > ev:
+            ev, em = s, i
+    v = part.verts
+    return ev, _from_reps(em, v), ov, _from_reps(om, v), wv, _from_reps(wm, v)
+
+
+def _profile(part: _Part) -> tuple[int, int, int, int, int, int]:
+    """(even max, mask, odd max, mask, odd min, mask): the profile of part.
+
+    Over the subsets C of the part P, with s(C) = |Odd(C) \\ C| and
+    w(C) = |C u Odd(C)| = |C| + s(C) in the graph P induces: the maximum
+    of s over even |C|, the empty set included; the maximum of s over odd
+    |C|; and the minimum of w over odd |C|.  Each comes with its smallest
+    mask, over the vertices of g.  kappa is the better of the two maxima
+    and kappa' the minimum.
+
+    Union.  No edge joins two components, so Odd(C) is the union of the
+    Odd(C_i) of the parts C_i = C n P_i, and s and |C| add up over them.
+    The even and odd maxima of the union follow by a parity DP over the
+    components, in (value desc, mask asc) order: the parts have disjoint
+    supports, so the mask of C is the sum of the part masks, and a pair of
+    parts that is best for the sum of values and then of masks is best in
+    each part.  An odd C has an odd part C_j, and w(C) >= w(C_j) with
+    equality only when C = C_j, as every nonempty part adds |C_i| >= 1.
+    So the odd minimum of the union is the least (value, mask) of its
+    components.
+
+    Join.  For v outside C, v has |C| - |N(v) n C| neighbours in C in the
+    complement, so Odd(C) \\ C is the same in both graphs when |C| is
+    even, and is (P \\ C) \\ Odd'(C) when |C| is odd, with Odd' taken in
+    the complement.  So the even maximum is the complement's, the odd
+    maximum is |P| minus the complement's odd minimum of w, and the odd
+    minimum of w is |P| minus the complement's odd maximum, each at the
+    same sets C and so with the same smallest mask.  A join's children
+    are the components of the complement, which unite as above.
+    """
+    if not part.children:
+        return _leaf_profile(part)
+    ev, em, ov, om, wv, wm = _profile(part.children[0])
+    for child in part.children[1:]:
+        e, e_m, o, o_m, w, w_m = _profile(child)
+        (ev, em), (ov, om) = (_better(ev + e, em + e_m, ov + o, om + o_m),
+                              _better(ev + o, em + o_m, ov + e, om + e_m))
+        if w < wv or w == wv and w_m < wm:
+            wv, wm = w, w_m
+    if part.join:
+        return ev, em, part.size - wv, wm, part.size - ov, om
+    return ev, em, ov, om, wv, wm
+
+
+def _run(
+    plan: _Plan, n: int, ub: int, prime: bool, workers: int | None
+) -> tuple[int, int, int, int]:
+    """(kappa value, mask, kappa' value, mask) as the plan says, masks over g.
+
+    ub and prime are as for _layered_scan and _table._table_scan: ub = -1
+    asks for kappa' alone, which takes prime_table's kernel.  A split
+    computes both quantities whatever is asked.
+    """
+    if plan.split is not None:
+        ev, em, ov, om, pv, pm = _profile(plan.split)
+        return (*_better(ev, em, ov, om), pv, pm)
+    if plan.kappa_table if ub >= 0 else plan.prime_table:
+        from . import _table
+
+        kv, km, pv, pm = _table._table_scan(plan.rows, n, ub, prime, workers)
+    else:
+        kv, km, pv, pm = _layered_scan(plan.rows, n, ub, prime)
+    return kv, _from_reps(km, plan.reps), pv, _from_reps(pm, plan.reps)
+
+
 @dataclass
 class _SharedScan:
-    """_kappa_pair's one shared pass: kappa leaves the kappa' reduction here."""
+    """_kappa_pair's shared plan, and the kappa' that kappa's pass leaves here."""
 
     graph: Graph
+    plan: _Plan
     kappa_prime: tuple[int, int] | None = None
 
 
@@ -327,28 +564,26 @@ def kappa(
     """Exact kappa(G) with the lexicographically smallest optimal witness C.
 
     engine: "pure" runs the layered scan, "numpy" the blocked table
-    kernel, "auto" picks by order.  workers > 1 runs the table
-    kernel with its blocks split across processes; the returned value and
-    witness are identical for every engine and worker count.
+    kernel, "auto" solves a disconnected graph or a join part by part and
+    otherwise picks by the number of twin classes (see _plan).  workers > 1
+    runs the table kernel with its blocks split across processes; the
+    returned value and witness are identical for every engine and worker
+    count.  Where processes start by spawn (the default on macOS and
+    Windows), each one re-imports the main script, so a script that passes
+    workers > 1 needs an `if __name__ == "__main__":` guard around its
+    solves, or the call fails with BrokenProcessPool.
     """
     _check_order(g, cap)
-    table, _ = _uses_table(g, engine, workers)
+    shared = _shared_slot(g)
+    plan = shared.plan if shared is not None else _plan(g, engine, workers)
     lo, ub = kappa_bounds(g)
     if ub == 0:
         return ExtremalResult(Quantity.KAPPA, 0, VertexSet.empty(g.n), (lo, ub))
-    rows, reps = _twin_rows(g.adj)
-    shared = _shared_slot(g)
-    fuse = shared is not None
-    if table:
-        from . import _table
-
-        best_v, best_m, pv, pm = _table._table_scan(rows, g.n, ub, fuse, workers)
-    else:
-        best_v, best_m, pv, pm = _layered_scan(rows, g.n, ub, fuse)
+    fuse = shared is not None and plan.one_pass
+    best_v, best_m, pv, pm = _run(plan, g.n, ub, fuse, workers)
     if fuse:
-        shared.kappa_prime = (pv, _from_reps(pm, reps))
-    witness = VertexSet(_from_reps(best_m, reps), g.n)
-    return ExtremalResult(Quantity.KAPPA, best_v, witness, (lo, ub))
+        shared.kappa_prime = (pv, pm)
+    return ExtremalResult(Quantity.KAPPA, best_v, VertexSet(best_m, g.n), (lo, ub))
 
 
 def _layered_cost(n: int, delta: int) -> int:
@@ -373,14 +608,8 @@ def kappa_prime(
     if shared is not None and shared.kappa_prime is not None:
         best_v, best_m = shared.kappa_prime
     else:
-        rows, reps = _twin_rows(g.adj)
-        if _uses_table(g, engine)[1]:
-            from . import _table
-
-            _, _, best_v, m = _table._table_scan(rows, g.n, -1, True, None)
-        else:
-            _, _, best_v, m = _layered_scan(rows, g.n, -1, True)
-        best_m = _from_reps(m, reps)
+        plan = shared.plan if shared is not None else _plan(g, engine)
+        _, _, best_v, best_m = _run(plan, g.n, -1, True, None)
     return ExtremalResult(
         Quantity.KAPPA_PRIME, best_v, VertexSet(best_m, g.n), bounds
     )
@@ -389,15 +618,13 @@ def kappa_prime(
 def _kappa_pair(
     g: Graph, *, cap: int, engine: str, workers: int | None
 ) -> tuple[ExtremalResult, ExtremalResult]:
-    """kappa(g) and kappa_prime(g), sharing one pass where both take one kernel.
+    """kappa(g) and kappa_prime(g) from one plan, and one pass where they can.
 
-    Both take the table or both the layered scan; only here is the pass
-    shared: kappa fuses iff it finds g's slot.
+    A split serves both, and so does a kernel that both take; only here is
+    the pass shared: kappa fuses iff it finds g's slot and the plan allows.
     """
     _check_order(g, cap)
-    k_table, p_table = _uses_table(g, engine, workers)
-    fuse = k_table == p_table
-    token = _SHARED_SCAN.set(_SharedScan(g) if fuse else None)
+    token = _SHARED_SCAN.set(_SharedScan(g, _plan(g, engine, workers)))
     try:
         k = kappa(g, cap=cap, engine=engine, workers=workers)
         kp = kappa_prime(g, cap=cap, engine=engine)

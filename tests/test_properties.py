@@ -4,7 +4,8 @@ The graphs are arbitrary ones of order at most 10, and seeded G(n, 1/2)
 of order at most 14.  derandomize=True makes every run draw the same
 examples, so these tests are as deterministic as the rest of the suite.
 Half of the arbitrary graphs are twin blow-ups, where the scans cover
-fewer vertices than the graph has.  Local complementation is deliberately
+fewer vertices than the graph has.  Disjoint unions of two of them are
+what the default engine solves part by part.  Local complementation is deliberately
 not among the properties: kappa, kappa' and kappa_Q all change under it.
 """
 from __future__ import annotations
@@ -13,10 +14,11 @@ import networkx as nx
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_width, twin_blowup
+from conftest import full_width, odd_set, twin_blowup
 from wodkit import (
     Graph,
     complement,
+    disjoint_union,
     kappa,
     kappa_prime,
     kappa_q,
@@ -92,14 +94,42 @@ def test_kappa_prime_plus_complement_kappa_at_least_n(g):
     assert kappa_prime(g).value + kappa(complement(g)).value >= g.n
 
 
+def relabel(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 @DETERMINISTIC
 @given(st.data())
 def test_relabelling_keeps_values(data):
     g = data.draw(graphs)
-    perm = data.draw(st.permutations(range(g.n)))
-    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    h = relabel(g, data.draw(st.permutations(range(g.n))))
     assert kappa(h).value == kappa(g).value
     assert kappa_prime(h).value == kappa_prime(g).value
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_union_adds_kappa_and_keeps_the_least_kappa_prime(data):
+    # auto solves the union part by part; the parts' own solves may not
+    g, h = data.draw(graphs), data.draw(graphs)
+    assume(g.n + h.n <= 16)
+    u = relabel(disjoint_union(g, h), data.draw(st.permutations(range(g.n + h.n))))
+    assert kappa(u).value == kappa(g).value + kappa(h).value
+    assert kappa_prime(u).value == min(kappa_prime(g).value, kappa_prime(h).value)
+
+
+@DETERMINISTIC
+@given(plain_graphs(max_n=8))
+def test_kappa_prime_is_n_minus_the_complements_odd_maximum(g):
+    # for odd C, |C u Odd(C)| = n - |Odd'(C) \ C| with Odd' in the
+    # complement; checked against a set-based scan of every odd C
+    co = complement(g)
+    odd_max = max(
+        len(odd_set(co, c) - c)
+        for c in ({v for v in range(g.n) if m >> v & 1} for m in range(1 << g.n))
+        if len(c) % 2
+    )
+    assert kappa_prime(g).value == g.n - odd_max
 
 
 @DETERMINISTIC

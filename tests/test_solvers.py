@@ -24,6 +24,7 @@ from wodkit import (
     check_threshold_condition,
     complement,
     complete_multipartite,
+    disjoint_union,
     gpq_closed_form,
     is_wod,
     kappa,
@@ -158,9 +159,10 @@ class TestKappa:
         # order 24, but 12 classes of two false twins: the table has one
         # block, so neither kappa nor the fused kappa_q pass needs a pool
         g = complete_multipartite(2, 12)
-        res = kappa(g, workers=2)
+        res = kappa(g, engine="numpy", workers=2)
         assert (res.value, res.witness.mask) == (22, 1)
-        assert solved(kappa_q(g, workers=2)) == solved(kappa_q(g, engine="pure"))
+        assert solved(kappa_q(g, engine="numpy", workers=2)) == solved(
+            kappa_q(g, engine="pure"))
 
     def test_pool_bounded_by_core_count(self, monkeypatch):
         sizes = []
@@ -287,14 +289,27 @@ def circulant(n, offsets):
                                 for i in range(n) for d in offsets})
 
 
+def p4_blowup():
+    """P4 with each vertex replaced by 6 false twins: n = 24, r = 4."""
+    return twin_blowup(path(4), [6] * 4, [False] * 4, range(24))
+
+
+def three_cubic8():
+    """Three copies of a connected cubic graph of order 8, and no twins."""
+    g = power(q3(), 3)
+    assert len(solvers._twin_rows(g.adj)[0]) == 24
+    return g
+
+
 def test_kernel_choice_under_auto(monkeypatch):
     # which kernels each solve runs: the table for kappa, kappa' or both in
-    # one fused pass, the layered pure pass likewise, and the ascending
-    # kappa scan that the layered pass falls back to
+    # one fused pass, the layered pure pass likewise, the ascending kappa
+    # scan that the layered pass falls back to, and a split's leaf scans
     calls = []
     table_scan = _table._table_scan
     layered = solvers._layered_scan
     ascending = solvers._scan_kappa
+    leaf = solvers._leaf_profile
 
     def label(kernel, ub, prime):
         return (f"{kernel} fused" if ub >= 0 and prime
@@ -312,17 +327,42 @@ def test_kernel_choice_under_auto(monkeypatch):
         calls.append("ascending kappa")
         return ascending(adj, ub)
 
+    def leaf_spy(part):
+        calls.append(f"leaf of {part.size}")
+        return leaf(part)
+
     monkeypatch.setattr(_table, "_table_scan", table_spy)
     monkeypatch.setattr(solvers, "_layered_scan", layered_spy)
     monkeypatch.setattr(solvers, "_scan_kappa", ascending_spy)
+    monkeypatch.setattr(solvers, "_leaf_profile", leaf_spy)
     # workers=2 below must not start processes
     monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
     dense19 = circulant(19, range(1, 6))
     assert min_degree(random_graph(24, 1)) == 8
     assert (dense19.n, min_degree(dense19)) == (19, 10)
+    # K1 + G(23, 1/2): its leaf of 2^23 masks costs more than the table
+    k1_g23 = disjoint_union(Graph.empty(1), random_graph(23, 1))
+    assert solvers._split(k1_g23.adj) is not None
     cases = [
         (random_graph(24, 1), {}, ["table fused"]),
-        (power(q3(), 3), {}, ["table kappa", "layered kappa'"]),
+        (cycle(24), {}, ["table kappa", "layered kappa'"]),
+        (k1_g23, {}, ["table kappa", "layered kappa'"]),
+        # the split: one leaf scan per copy serves kappa and kappa'
+        (three_cubic8(), {}, ["leaf of 8"] * 3),
+        (complement(three_cubic8()), {}, ["leaf of 8"] * 3),
+        (three_cubic8(), {"workers": 2}, ["leaf of 8"] * 3),
+        (three_cubic8(), {"engine": "numpy"}, ["table fused"]),
+        # below r = 20 the whole-graph scan is pure too, and a leaf mask
+        # weighs as much as 4 of its masks: 4 * 2 * 2^5 < 2^10
+        (power(cycle(5), 2), {}, ["leaf of 5"] * 2),
+        # 4 * (2 + 2^17) >= 2^18: the leaf would cost more than the
+        # layered pass over the whole graph
+        (disjoint_union(Graph.empty(1), random_graph(17, 1)), {},
+         ["layered fused"]),
+        (power(cycle(5), 2), {"engine": "pure"},
+         ["layered fused", "ascending kappa"]),
+        # 24 vertices in 4 twin classes, connected and co-connected
+        (p4_blowup(), {}, ["layered fused"]),
         (dense19, {}, ["layered kappa", "table kappa'"]),
         (random_graph(18, 1), {}, ["layered fused"]),
         (random_graph(18, 1), {"engine": "pure"}, ["layered fused"]),
@@ -411,12 +451,13 @@ class TestTwinReduction:
             return table_scan(adj, n, ub, prime, workers)
 
         monkeypatch.setattr(_table, "_table_scan", spy)
-        cases = [(complete_multipartite(2, 12), 12),
-                 (complete_multipartite(1, 24), 1),
-                 (random_graph(24, 1), 24)]
-        for g, want in cases:
+        # auto splits G_{2,12} and scans K24 = G_{1,24} in pure Python
+        cases = [(complete_multipartite(2, 12), 12, {"engine": "numpy"}),
+                 (complete_multipartite(1, 24), 1, {"engine": "numpy"}),
+                 (random_graph(24, 1), 24, {})]
+        for g, want, kwargs in cases:
             rows.clear()
-            kappa_q(g)
+            kappa_q(g, **kwargs)
             assert rows == [want], g.n
 
 
@@ -488,6 +529,84 @@ class TestLayeredScan:
         assert solvers._layered_scan(g.adj, 4, 2, False)[:2] == (2, 0b11)
         assert solvers._scan_kappa(g.adj, 2) == (2, 0b11)
         check_layered(g)
+
+
+def join(g, h):
+    """The join of g and h: their disjoint union plus every edge between them."""
+    return complement(disjoint_union(complement(g), complement(h)))
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def nested(rng, n):
+    """A seeded graph of order n built by nested unions and joins."""
+    if n <= 2 or rng.random() < 0.25:
+        return random_graph(n, rng.randrange(10**6))
+    k = rng.randint(1, n - 1)
+    parts = nested(rng, k), nested(rng, n - k)
+    return disjoint_union(*parts) if rng.random() < 0.5 else join(*parts)
+
+
+class TestSplit:
+    """auto's split against the whole-graph kernels, on values and witnesses.
+
+    Each test runs twice: with the cost rule as it ships, and with every
+    possible split taken, so that the small graphs the rule keeps whole
+    still split.
+    """
+
+    @pytest.fixture(autouse=True, params=["cost rule", "always split"])
+    def rule(self, request, monkeypatch):
+        self.always = request.param == "always split"
+        if self.always:
+            monkeypatch.setattr(solvers, "_leaf_masks", lambda part: 0)
+
+    def check(self, g):
+        if self.always:
+            split = solvers._plan(g, "auto").split
+            assert (split is None) == (solvers._split(g.adj) is None)
+        want = solved(kappa_q(g, engine="pure"))
+        assert solved(kappa_q(g, engine="numpy")) == want, g.adj
+        assert solved(kappa_q(g)) == want, g.adj
+        k, kp = kappa(g), kappa_prime(g)
+        assert (k.value, k.witness.mask, kp.value, kp.witness.mask) == want[1:]
+
+    def test_every_splittable_labelled_graph_up_to_order_6(self):
+        checked = 0
+        for n in range(1, 7):
+            for g in all_labeled_graphs(n):
+                if solvers._split(g.adj) is not None:
+                    self.check(g)
+                    checked += 1
+        assert checked == 12_782
+
+    def test_seeded_nested_unions_and_joins(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            g = relabelled(nested(rng, rng.randint(2, 18)), rng)
+            self.check(g)
+
+    def test_families(self):
+        for n in range(1, 25):
+            for g in (Graph.empty(n), complete_multipartite(1, n), star(n)):
+                self.check(g)
+
+    def test_union_and_join_of_leaves(self):
+        # a leaf with true twins, one with false twins, and P4, which has
+        # none: every node kind of the split, under interleaved labels
+        rng = random.Random(48)
+        parts = [twin_blowup(path(4), [2, 1, 1, 2], [True, False, True, False],
+                             rng.sample(range(6), 6)),
+                 p4_blowup(), path(4), cycle(5)]
+        for a in parts:
+            for b in parts:
+                if a.n + b.n <= 30:
+                    for g in (disjoint_union(a, b), join(a, b)):
+                        self.check(relabelled(g, rng))
 
 
 class TestBounds:
@@ -640,10 +759,16 @@ class TestBlowupChain:
 NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import wodkit
-from wodkit import cli, kappa, kappa_q, random_graph, write_graph6
-from wodkit.fixtures import petersen
+from wodkit import (Graph, cli, disjoint_union, kappa, kappa_q, random_graph,
+                    write_graph6)
+from wodkit.fixtures import petersen, q3
 
 kappa_q(random_graph(14, 3))
+# three copies of Q3 split into pure leaf scans, and the P4 blow-up, of
+# order 24 in four twin classes, takes the pure scans whole
+kappa_q(disjoint_union(q3(), disjoint_union(q3(), q3())))
+kappa_q(Graph.from_edges(24, [(u, v) for u in range(24) for v in range(u)
+                              if u // 6 == v // 6 + 1]))
 g6 = write_graph6(petersen())
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
