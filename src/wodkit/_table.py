@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -127,7 +128,9 @@ def _table_scan(
 ) -> tuple[int, int, int, int]:
     """_reduce_blocks over every block, in up to workers ranges.
 
-    The ranges go to a process pool of at most one process per core.
+    The ranges go to a process pool of at most one process per core.  A
+    pool whose processes die raises RuntimeError: under spawn or
+    forkserver that is most often a main script without a __main__ guard.
     """
     blocks = 1 << (len(adj) - _layout(adj, n)[0])
     if not workers or workers < 2:
@@ -144,8 +147,17 @@ def _table_scan(
         for s in range(1, blocks, chunk)
     ]
     procs = min(len(tasks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=procs) as ex:
-        parts += ex.map(_reduce_blocks, tasks)
+    try:
+        with ProcessPoolExecutor(max_workers=procs) as ex:
+            parts += ex.map(_reduce_blocks, tasks)
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            "a worker process of the kappa scan died before it returned.  "
+            "Where processes start by spawn or forkserver (spawn is the "
+            "default on macOS and Windows), each one re-imports the main "
+            "script, so a script that passes workers > 1 needs an "
+            '`if __name__ == "__main__":` guard around its solves'
+        ) from exc
     # ranges ascend, so keeping the first strict optimum preserves the
     # smallest witness mask regardless of worker scheduling
     kv, km, pv, pm = parts[0]

@@ -9,9 +9,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import statistics
 import sys
 import time
 from typing import Any
@@ -202,12 +200,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    import statistics
+
     reports = sample_and_measure(args.n, args.trials, args.seed, cap=args.cap)
     below = 0
     for rep in reports:
         if rep.kappa_q < args.threshold * args.n:
             below += 1
-        line = dataclasses.asdict(rep)
+        line = {name: getattr(rep, name) for name in rep._fields}
         if args.no_timing:
             del line["elapsed"]
         print(json.dumps(line, sort_keys=True, separators=(",", ":")))

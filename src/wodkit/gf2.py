@@ -6,8 +6,9 @@ elimination always runs on a working copy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from ._record import Record, _set
 
 __all__ = [
     "BitVector",
@@ -17,21 +18,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BitVector:
+class BitVector(Record):
     """Fixed-length bit vector packed into a single integer.
 
     Invariant: bits above `length` are zero.
     """
 
+    __slots__ = ("bits", "length")
     bits: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"negative length {self.length}")
-        if self.bits < 0 or self.bits >> self.length:
+    def __init__(self, bits: int, length: int) -> None:
+        if length < 0:
+            raise ValueError(f"negative length {length}")
+        if bits < 0 or bits >> length:
             raise ValueError("bits outside declared length")
+        _set(self, "bits", bits)
+        _set(self, "length", length)
 
     @classmethod
     def from_bits(cls, values: Iterable[int]) -> "BitVector":
@@ -72,19 +75,21 @@ class BitVector:
         return [(self.bits >> i) & 1 for i in range(self.length)]
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(Record):
     """GF(2) matrix stored as a tuple of integer rows, n_cols wide."""
 
+    __slots__ = ("rows", "n_cols")
     rows: tuple[int, ...]
     n_cols: int
 
-    def __post_init__(self) -> None:
-        if self.n_cols < 0:
-            raise ValueError(f"negative n_cols {self.n_cols}")
-        for i, r in enumerate(self.rows):
-            if r < 0 or r >> self.n_cols:
-                raise ValueError(f"row {i} has bits outside {self.n_cols} columns")
+    def __init__(self, rows: tuple[int, ...], n_cols: int) -> None:
+        if n_cols < 0:
+            raise ValueError(f"negative n_cols {n_cols}")
+        for i, r in enumerate(rows):
+            if r < 0 or r >> n_cols:
+                raise ValueError(f"row {i} has bits outside {n_cols} columns")
+        _set(self, "rows", rows)
+        _set(self, "n_cols", n_cols)
 
     @property
     def n_rows(self) -> int:

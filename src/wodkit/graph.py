@@ -12,9 +12,9 @@ order, six bits per byte, each byte offset by 63.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._record import Record, _set
 from .gf2 import BitMatrix
 
 __all__ = [
@@ -40,18 +40,20 @@ __all__ = [
 MAX_ORDER = 62
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(Record):
     """Subset of {0, ..., universe-1} as a bitmask."""
 
+    __slots__ = ("mask", "universe")
     mask: int
     universe: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.universe <= MAX_ORDER:
-            raise ValueError(f"universe {self.universe} outside [0, {MAX_ORDER}]")
-        if self.mask < 0 or self.mask >> self.universe:
+    def __init__(self, mask: int, universe: int) -> None:
+        if not 0 <= universe <= MAX_ORDER:
+            raise ValueError(f"universe {universe} outside [0, {MAX_ORDER}]")
+        if mask < 0 or mask >> universe:
             raise ValueError("mask has bits outside the universe")
+        _set(self, "mask", mask)
+        _set(self, "universe", universe)
 
     @classmethod
     def empty(cls, universe: int) -> "VertexSet":
@@ -118,27 +120,29 @@ class VertexSet:
         return list(self)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph: adj[v] is the neighborhood bitmask of v."""
 
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_ORDER:
-            raise ValueError(f"order {self.n} outside [0, {MAX_ORDER}]")
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        if not 0 <= n <= MAX_ORDER:
+            raise ValueError(f"order {n} outside [0, {MAX_ORDER}]")
+        if len(adj) != n:
             raise ValueError("adjacency length does not match order")
-        for v, row in enumerate(self.adj):
-            if row < 0 or row >> self.n:
+        for v, row in enumerate(adj):
+            if row < 0 or row >> n:
                 raise ValueError(f"adjacency row {v} has bits outside the graph")
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for u in range(self.n):
-            for v_ in range(u + 1, self.n):
-                if ((self.adj[u] >> v_) & 1) != ((self.adj[v_] >> u) & 1):
+        for u in range(n):
+            for v_ in range(u + 1, n):
+                if ((adj[u] >> v_) & 1) != ((adj[v_] >> u) & 1):
                     raise ValueError(f"asymmetric adjacency between {u} and {v_}")
+        _set(self, "n", n)
+        _set(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -14,9 +14,9 @@ on a complement graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record, _set
 from .graph import (
     Graph,
     VertexSet,
@@ -44,9 +44,12 @@ class PreconditionError(ValueError):
     """An operation's structural precondition does not hold for this graph."""
 
 
-@dataclass(frozen=True)
-class PerfectCode:
+class PerfectCode(Record):
+    __slots__ = ("code",)
     code: VertexSet
+
+    def __init__(self, code: VertexSet) -> None:
+        _set(self, "code", code)
 
 
 def is_perfect_code(g: Graph, c: VertexSet) -> bool:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .graph import random_graph
 from .solvers import DEFAULT_CAP, _check_cap, kappa_q
 
@@ -58,22 +58,26 @@ def binary_entropy(t: float) -> float:
     return -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
 
 
-@dataclass(frozen=True)
-class LLLParams:
+class LLLParams(Record):
     """Numeric tuple (n, c, d, r) feeding the feasibility condition."""
 
+    __slots__ = ("n", "c", "d", "r")
     n: int
     c: float
     d: float
     r: float
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"order n must be >= 1, got {self.n}")
-        _check_c(self.c)
-        _check_d(self.c, self.d)
-        if self.r < 2.0:
-            raise ValueError(f"weight parameter r must be >= 2, got {self.r}")
+    def __init__(self, n: int, c: float, d: float, r: float) -> None:
+        if n < 1:
+            raise ValueError(f"order n must be >= 1, got {n}")
+        _check_c(c)
+        _check_d(c, d)
+        if r < 2.0:
+            raise ValueError(f"weight parameter r must be >= 2, got {r}")
+        _set(self, "n", n)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        _set(self, "r", r)
 
 
 def _entropy_term(c: float, d: float) -> float:
@@ -144,10 +148,12 @@ def probability_lower_bound(n: int, c: float) -> float:
     return 0.25 ** (2.0 * (1.0 - c) * n / r)
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(Record):
     """One measured random graph: exact quantities and their ratio to n."""
 
+    __slots__ = (
+        "trial", "seed", "n", "kappa", "kappa_prime", "kappa_q", "ratio", "elapsed"
+    )
     trial: int
     seed: int
     n: int
@@ -156,6 +162,26 @@ class TrialReport:
     kappa_q: int
     ratio: float
     elapsed: float
+
+    def __init__(
+        self,
+        trial: int,
+        seed: int,
+        n: int,
+        kappa: int,
+        kappa_prime: int,
+        kappa_q: int,
+        ratio: float,
+        elapsed: float,
+    ) -> None:
+        _set(self, "trial", trial)
+        _set(self, "seed", seed)
+        _set(self, "n", n)
+        _set(self, "kappa", kappa)
+        _set(self, "kappa_prime", kappa_prime)
+        _set(self, "kappa_q", kappa_q)
+        _set(self, "ratio", ratio)
+        _set(self, "elapsed", elapsed)
 
 
 _MASK64 = (1 << 64) - 1

@@ -62,9 +62,9 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record, _set
 from .graph import (
     Graph,
     VertexSet,
@@ -104,8 +104,7 @@ class CapExceededError(RuntimeError):
     """Raised instead of attempting an enumeration beyond the configured cap."""
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(Record):
     """Exact value plus a machine-checkable witness set.
 
     For KAPPA the witness C satisfies |Odd(C) \\ C| = value; for
@@ -115,19 +114,39 @@ class ExtremalResult:
     bound, it looks for no larger value.  kappa' scans without it.
     """
 
+    __slots__ = ("quantity", "value", "witness", "bounds_used")
     quantity: Quantity
     value: int
     witness: VertexSet
     bounds_used: tuple[int, int]
 
+    def __init__(
+        self,
+        quantity: Quantity,
+        value: int,
+        witness: VertexSet,
+        bounds_used: tuple[int, int],
+    ) -> None:
+        _set(self, "quantity", quantity)
+        _set(self, "value", value)
+        _set(self, "witness", witness)
+        _set(self, "bounds_used", bounds_used)
 
-@dataclass(frozen=True)
-class KappaQResult:
+
+class KappaQResult(Record):
     """kappa_Q value together with both underlying results and witnesses."""
 
+    __slots__ = ("value", "kappa", "kappa_prime")
     value: int
     kappa: ExtremalResult
     kappa_prime: ExtremalResult
+
+    def __init__(
+        self, value: int, kappa: ExtremalResult, kappa_prime: ExtremalResult
+    ) -> None:
+        _set(self, "value", value)
+        _set(self, "kappa", kappa)
+        _set(self, "kappa_prime", kappa_prime)
 
     @property
     def quantity(self) -> Quantity:
@@ -156,8 +175,7 @@ _LEAF_COST = 200
 _LEAF_COST_PURE = 4
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """How a solve of g runs: g's twin rows, then a split or the kernels.
 
     With split set, kappa and kappa' come from its profile; otherwise
@@ -165,11 +183,26 @@ class _Plan:
     over rows, and the others take the layered scan.
     """
 
+    __slots__ = ("rows", "reps", "kappa_table", "prime_table", "split")
     rows: tuple[int, ...]
     reps: tuple[int, ...]
-    kappa_table: bool = False
-    prime_table: bool = False
-    split: _Part | None = None
+    kappa_table: bool
+    prime_table: bool
+    split: _Part | None
+
+    def __init__(
+        self,
+        rows: tuple[int, ...],
+        reps: tuple[int, ...],
+        kappa_table: bool = False,
+        prime_table: bool = False,
+        split: _Part | None = None,
+    ) -> None:
+        _set(self, "rows", rows)
+        _set(self, "reps", reps)
+        _set(self, "kappa_table", kappa_table)
+        _set(self, "prime_table", prime_table)
+        _set(self, "split", split)
 
     @property
     def one_pass(self) -> bool:
@@ -358,8 +391,7 @@ def _layered_scan(
     return kv, km, pv, pm
 
 
-@dataclass(frozen=True)
-class _Part:
+class _Part(Record):
     """A node of a split: a vertex set P of g, as a leaf or as children.
 
     A leaf holds one row per twin class of the graph it induces, relabelled
@@ -369,11 +401,26 @@ class _Part:
     P induces, and the united profile goes through the join identities.
     """
 
+    __slots__ = ("size", "join", "children", "rows", "verts")
     size: int
-    join: bool = False
-    children: tuple[_Part, ...] = ()
-    rows: tuple[int, ...] = ()
-    verts: tuple[int, ...] = ()
+    join: bool
+    children: tuple[_Part, ...]
+    rows: tuple[int, ...]
+    verts: tuple[int, ...]
+
+    def __init__(
+        self,
+        size: int,
+        join: bool = False,
+        children: tuple[_Part, ...] = (),
+        rows: tuple[int, ...] = (),
+        verts: tuple[int, ...] = (),
+    ) -> None:
+        _set(self, "size", size)
+        _set(self, "join", join)
+        _set(self, "children", children)
+        _set(self, "rows", rows)
+        _set(self, "verts", verts)
 
 
 def _components(adj: tuple[int, ...], part: int, co: bool) -> list[int]:
@@ -535,13 +582,17 @@ def _run(
     return kv, _from_reps(km, plan.reps), pv, _from_reps(pm, plan.reps)
 
 
-@dataclass
 class _SharedScan:
     """_kappa_pair's shared plan, and the kappa' that kappa's pass leaves here."""
 
-    graph: Graph
-    plan: _Plan
-    kappa_prime: tuple[int, int] | None = None
+    __slots__ = ("graph", "plan", "kappa_prime")
+
+    def __init__(
+        self, graph: Graph, plan: _Plan, kappa_prime: tuple[int, int] | None = None
+    ) -> None:
+        self.graph = graph
+        self.plan = plan
+        self.kappa_prime = kappa_prime
 
 
 # _kappa_pair still answers through kappa() and kappa_prime(), so each
@@ -571,7 +622,7 @@ def kappa(
     count.  Where processes start by spawn (the default on macOS and
     Windows), each one re-imports the main script, so a script that passes
     workers > 1 needs an `if __name__ == "__main__":` guard around its
-    solves, or the call fails with BrokenProcessPool.
+    solves, or the call fails with RuntimeError.
     """
     _check_order(g, cap)
     shared = _shared_slot(g)

@@ -141,15 +141,16 @@ class TestKappa:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(_table, "ProcessPoolExecutor", no_pool)
-        # K_{1,21} spans several blocks but reaches its bound 21 at mask 1;
-        # order 13 fits in one block
-        assert 13 <= _table._LO_BITS < 22
-        for g in (star(22), random_graph(13, 4)):
-            seq = kappa(g, engine="pure")
-            par = kappa(g, workers=2)
-            assert (par.value, par.witness.mask) == (seq.value, seq.witness.mask)
-        res = kappa(star(22), workers=2)
-        assert (res.value, res.witness.mask) == (21, 1)
+        # cycle(18) has no twins, so its table spans 4 blocks, and kappa
+        # reaches its bound 12 in block 0: the other 3 need no pool
+        g = cycle(18)
+        rows = solvers._twin_rows(g.adj)[0]
+        assert 1 << (len(rows) - _table._layout(rows, g.n)[0]) == 4
+        assert kappa_bounds(g) == (2, 12)
+        seq = kappa(g, engine="pure")
+        par = kappa(g, engine="numpy", workers=2)
+        assert (par.value, par.witness.mask) == (seq.value, seq.witness.mask)
+        assert par.value == 12
 
     def test_no_pool_when_twin_classes_fit_one_block(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -163,6 +164,30 @@ class TestKappa:
         assert (res.value, res.witness.mask) == (22, 1)
         assert solved(kappa_q(g, engine="numpy", workers=2)) == solved(
             kappa_q(g, engine="pure"))
+
+    def test_spawn_without_main_guard_names_the_guard(self, tmp_path):
+        # each spawned pool process re-runs this script and dies at its
+        # second set_start_method, so the pool of 2 breaks
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from wodkit import kappa, random_graph\n"
+            "print(kappa(random_graph(18, 1), workers=2).value)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("RuntimeError: ")
+        assert 'if __name__ == "__main__":' in last
+        assert "BrokenProcessPool" in proc.stderr
 
     def test_pool_bounded_by_core_count(self, monkeypatch):
         sizes = []
