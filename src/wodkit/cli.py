@@ -202,6 +202,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     import statistics
 
+    # NaN fails both comparisons, so this also keeps NaN out of the JSON
+    if not 0 <= args.threshold <= 1:
+        raise ValueError(f"threshold must be a ratio in [0, 1], got {args.threshold}")
     reports = sample_and_measure(args.n, args.trials, args.seed, cap=args.cap)
     below = 0
     for rep in reports:

@@ -226,12 +226,6 @@ def _neighbor_prefix(adj: tuple[int, ...]) -> list[int]:
     return pre
 
 
-def _gosper_next(m: int) -> int:
-    u = m & -m
-    v = m + u
-    return v | (((m ^ v) >> 2) // u)
-
-
 def odd_neighborhood(g: Graph, c: VertexSet) -> VertexSet:
     """Odd(C): vertices with an odd number of neighbors in C.
 

@@ -20,14 +20,17 @@ ranges of blocks to a pool of at most one process per core.
 
 The pure kernel stays here and needs no numpy: _layered_scan visits the
 subsets by cardinality, layer k = |C| = 1, 2, ..., and within a layer in
-ascending order.  The paper's bounds s(C) <= n - |C| and |C u Odd(C)| >=
-|C| end it early: kappa needs only the layers k <= n - kappa and kappa'
-only the odd layers k <= kappa', so on G(n, 1/2) it visits a few per cent
-of the subsets.  Where the layers kappa still needs hold most of the
-subsets, as on a cycle, the pass hands kappa to _scan_kappa, an ascending
-scan that steps from mask i-1 to mask i by flipping the low bit run of i
-and so costs one XOR and one popcount per subset.  When both quantities
-take the pure kernel, kappa_q gets them from one pass.
+ascending order.  Gosper's step to the next mask of a layer flips two runs
+of bits, and Odd is linear, so Odd of the next mask is Odd of this one
+XOR three prefix XORs of the rows: O(1) per mask, not O(k).  The paper's
+bounds s(C) <= n - |C| and |C u Odd(C)| >= |C| end it early: kappa needs
+only the layers k <= n - kappa and kappa' only the odd layers k <=
+kappa', so on G(n, 1/2) it visits a few per cent of the subsets.  Where
+the layers kappa still needs hold most of the subsets, as on a cycle, the
+pass hands kappa to _scan_kappa, an ascending scan that steps from mask
+i-1 to mask i by flipping the low bit run of i and so costs one XOR and
+one popcount per subset.  When both quantities take the pure kernel,
+kappa_q gets them from one pass.
 
 kappa and kappa' scan the subsets of one vertex per twin class, 2^r of
 them for r classes instead of 2^n (_twin_rows has the proof that values
@@ -68,9 +71,7 @@ from ._record import Record, _set
 from .graph import (
     Graph,
     VertexSet,
-    _gosper_next,
     _neighbor_prefix,
-    _odd_mask,
     max_degree,
     min_degree,
 )
@@ -325,9 +326,11 @@ def _scan_kappa(adj: tuple[int, ...], ub: int) -> tuple[int, int]:
     return best_v, best_m
 
 
-# A layer step (Odd by _odd_mask, then Gosper's next mask) costs about four
-# steps of _scan_kappa, which flips one prefix row per mask
-_LAYER_COST = 4
+# A layer step (a popcount, then Gosper's next mask and three prefix rows
+# into Odd) costs about three steps of _scan_kappa, which flips one prefix
+# row per mask: 167 ns against 64 ns per mask, on G(18, 1/2) and on sparse
+# graphs of order 18
+_LAYER_COST = 3
 
 
 def _layered_scan(
@@ -343,6 +346,14 @@ def _layered_scan(
     leaves kappa out, which then comes back as (-1, 0); without prime,
     kappa' comes back as (n + 1, 0).
 
+    Odd costs O(1) per mask.  With u = m & -m the low bit of m, at t, the
+    carry of v = m + u lands on bit h, the low bit of v (not its top bit).
+    Gosper's step clears bits t..h-1, sets bit h and then sets bits
+    0..h-t-2, so the next mask is v | (2^(h-t-1) - 1).  Odd is linear, so
+    with pre[i] = adj[0] ^ ... ^ adj[i-1], Odd of that mask is
+    Odd(m) ^ pre[h+1] ^ pre[t] ^ pre[h-t-1].  Each layer starts at
+    2^k - 1, where Odd is pre[k], and h >= r means its last mask is past.
+
     As s <= n - k and w >= k, kappa scans the layers k <= n - kv and
     kappa' the odd layers k <= pv, for the best values kv and pv so far.
     Once kv reaches ub, only a tie with a smaller mask can change the
@@ -353,6 +364,7 @@ def _layered_scan(
     """
     r = len(adj)
     limit = 1 << r
+    pre = [0, *_neighbor_prefix(adj)]
     kappa_on = ub >= 0
     kv, km, pv, pm = 0 if kappa_on else -1, 0, n + 1, 0
     for k in range(1, r + 1):
@@ -373,9 +385,9 @@ def _layered_scan(
                 kstop, kw = limit if kv < ub else km, kv + k
         if prime and k & 1 and k <= pv:
             pstop, pw = limit, pv
-        m, stop = first, max(kstop, pstop)
+        m, odd, stop = first, pre[k], max(kstop, pstop)
         while m < stop:
-            w = (m | _odd_mask(adj, m)).bit_count()
+            w = (m | odd).bit_count()
             if w >= kw and (w - k > kv or m < km):
                 # later masks of this layer are larger: only a gain counts
                 kv, km, kw = w - k, m, w + 1
@@ -387,7 +399,14 @@ def _layered_scan(
                 if w == k:
                     pstop = 0
                     stop = kstop
-            m = _gosper_next(m)
+            u = m & -m
+            v = m + u
+            t = u.bit_length() - 1
+            h = (v & -v).bit_length() - 1
+            if h >= r:
+                break
+            m = v | (1 << h - t - 1) - 1
+            odd ^= pre[h + 1] ^ pre[t] ^ pre[h - t - 1]
     return kv, km, pv, pm
 
 
@@ -638,6 +657,10 @@ def kappa(
 
 
 def _layered_cost(n: int, delta: int) -> int:
+    # (k + 2) steps per mask of layer k models Odd by _odd_mask, an O(k)
+    # loop, and predates _layered_scan's O(1) step; _plan's 2,000,000
+    # threshold was set with this model, so it stays until _plan is
+    # re-derived from measurements
     total = 0
     k = 1
     while k <= min(n, delta + 1):

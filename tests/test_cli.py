@@ -311,6 +311,25 @@ class TestSearch:
         proc = run_cli("search", "--n", "31", "--trials", "1", "--seed", "0")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1", "2", "1.0001"])
+    def test_threshold_outside_unit_interval_exits_2(self, threshold):
+        # NaN and inf would print as bare NaN or Infinity, which is not JSON
+        proc = run_cli("search", "--n", "6", "--trials", "1", "--seed", "0",
+                       f"--threshold={threshold}", "--no-timing")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: threshold must be a ratio in [0, 1]")
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_threshold_endpoints_accepted(self, threshold):
+        proc = run_cli("search", "--n", "6", "--trials", "2", "--seed", "0",
+                       f"--threshold={threshold}", "--no-timing")
+        assert proc.returncode == 0
+        summary = json.loads(proc.stdout.strip().splitlines()[-1])["summary"]
+        assert summary["threshold_ratio"] == float(threshold)
+        # kappa_q < n on every graph, so every trial is below ratio 1
+        assert summary["below_threshold"] == (0 if threshold == "0" else 2)
+
 
 class TestTopLevel:
     def test_version(self):

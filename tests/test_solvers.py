@@ -535,6 +535,21 @@ class TestLayeredScan:
             for g in (cycle(n), path(n), star(n)):
                 check_layered(g)
 
+    def test_seeded_graphs_of_order_13_to_20(self):
+        # masks of up to 20 bits, where Gosper's carry crosses long runs of
+        # ones.  The passes over G(n, 1/2) end by layer 5; a sparse graph
+        # has a small kappa and a dense one a large kappa', so theirs reach
+        # layer 9, whose runs hold up to 9 ones
+        rng = random.Random(49)
+        for n in range(13, 21):
+            for seed in range(5):
+                check_layered(random_graph(n, seed))
+            for p in (0.12, 0.88):
+                check_layered(Graph.from_edges(n, [
+                    (u, v) for u in range(n) for v in range(u + 1, n)
+                    if rng.random() < p
+                ]))
+
     def test_smallest_witness_in_a_later_layer(self):
         # the path 0-3-2-1 and an isolated vertex: {2} is the first optimum
         # found, in layer 1, but {0, 1} ties it in layer 2 and is smaller;
