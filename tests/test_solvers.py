@@ -496,10 +496,13 @@ def check_layered(g, rows=None):
 
     The scans cover the rows given, or else every row of g.
     """
-    adj, n, ub = rows or g.adj, g.n, kappa_bounds(g)[1]
-    kv, km, pv, pm = _table._table_scan(adj, n, ub, True, None)
-    assert solvers._layered_scan(adj, n, ub, True) == (kv, km, pv, pm), adj
-    assert solvers._layered_scan(adj, n, ub, False) == (kv, km, n + 1, 0), adj
+    adj, n = rows or g.adj, g.n
+    # the degree bound, and n + 1, which never binds, so that the tie-only
+    # layer n - kappa is checked apart from the stop at the bound
+    for ub in (kappa_bounds(g)[1], n + 1):
+        kv, km, pv, pm = _table._table_scan(adj, n, ub, True, None)
+        assert solvers._layered_scan(adj, n, ub, True) == (kv, km, pv, pm), adj
+        assert solvers._layered_scan(adj, n, ub, False) == (kv, km, n + 1, 0), adj
     assert solvers._layered_scan(adj, n, -1, True) == (-1, 0, pv, pm), adj
 
 
@@ -559,6 +562,15 @@ class TestLayeredScan:
         for m in (0b100, 0b11):
             assert len(odd_neighborhood(g, VertexSet(m, 5)) - VertexSet(m, 5)) == 2
         assert solvers._layered_scan(g.adj, 5, 3, True)[:2] == (2, 0b11)
+        check_layered(g)
+        # kappa = 3 stays below the bound 4, and layer 3 = n - kappa can only
+        # tie: {3} is the first optimum found, in layer 1, and the smaller
+        # {0, 1, 2} ties it there, so the pass must still enter that layer
+        g = Graph.from_edges(6, [(0, 3), (0, 5), (1, 3), (1, 4), (2, 3)])
+        assert kappa_bounds(g)[1] == 4
+        for m in (0b1000, 0b111):
+            assert len(odd_neighborhood(g, VertexSet(m, 6)) - VertexSet(m, 6)) == 3
+        assert solvers._layered_scan(g.adj, 6, 4, True)[:2] == (3, 0b111)
         check_layered(g)
 
     def test_tie_after_the_degree_bound(self):
