@@ -99,8 +99,10 @@ def _reduce_blocks(task: tuple) -> tuple[int, int, int, int]:
     """(kappa value, mask, kappa' value, mask) over the blocks [start, stop).
 
     kappa is the first argmax of s; it stops once it reaches ub, and
-    ub = -1 leaves it out.  With prime, kappa' is the first argmin of
-    |C| + s over odd |C|; without it, (n + 1, 0) comes back.
+    ub = -1 leaves it out.  Otherwise ub must be at least kappa, as the
+    kappa_bounds upper bound is: below it, the result depends on the order
+    in which a kernel meets the masks.  With prime, kappa' is the first
+    argmin of |C| + s over odd |C|; without it, (n + 1, 0) comes back.
     """
     adj, n, start, stop, ub, prime = task
     lo, dt = _layout(adj, n)
@@ -128,9 +130,10 @@ def _table_scan(
 ) -> tuple[int, int, int, int]:
     """_reduce_blocks over every block, in up to workers ranges.
 
-    The ranges go to a process pool of at most one process per core.  A
-    pool whose processes die raises RuntimeError: under spawn or
-    forkserver that is most often a main script without a __main__ guard.
+    ub must be -1 or at least kappa, as for _reduce_blocks.  The ranges go
+    to a process pool of at most one process per core.  A pool whose
+    processes die raises RuntimeError: under spawn or forkserver that is
+    most often a main script without a __main__ guard.
     """
     blocks = 1 << (len(adj) - _layout(adj, n)[0])
     if not workers or workers < 2:

@@ -43,23 +43,21 @@ engine and worker count returns the lexicographically smallest witness.
 "auto" first tries to solve a graph part by part.  When G or its
 complement is disconnected, _split cuts it into components or
 co-components, recursively, down to leaves that are connected and
-co-connected.  One ascending scan per leaf gives its parity profile: the
-best s over even and over odd subsets, and the least |C u Odd(C)| over
-odd ones.  Profiles add up over a union and map through two identities
-over a join (_profile has the proofs), and the root's profile holds both
-kappa and kappa' with their smallest witnesses.  The split is taken when
-its leaves hold fewer masks than the 2^r of a whole-graph scan, with a
-leaf mask weighed at its measured cost against a mask of that scan
-(_LEAF_COST).  Three disjoint copies of a cubic graph of order 8 then
-cost 768 leaf masks instead of 2^24 table masks.  Otherwise "auto" scans
-the whole graph: kappa takes the table from r = 20 twin classes on, and
-kappa' once its layered scan over the r rows would cost more than
-2,000,000 steps, which first happens at r = 19 with minimum degree 10.
-So without workers, a graph of at most 18 twin classes never loads
-numpy.  _plan holds this rule and says whether one pass can serve kappa
-and kappa'; only _kappa_pair asks for that pass.  "pure" and "numpy"
-always scan the whole graph, so each stays an independent check of the
-split.
+co-connected.  The layered pass gives each leaf's parity profile, as it
+can keep kappa's maximum apart for even and odd |C|, and the profiles
+unite up the split to kappa and kappa' with their smallest witnesses
+(_profile has the proofs).  The split is taken when its leaves hold
+fewer masks than the 2^r of a whole-graph scan, with a leaf mask weighed
+at its measured cost against a mask of that scan (_LEAF_COST).  Three
+disjoint copies of a cubic graph of order 8 then cost 768 leaf masks
+instead of 2^24 table masks.  Otherwise "auto" scans the whole graph:
+kappa takes the table from r = 20 twin classes on, and kappa' once its
+layered scan over the r rows would cost more than 2,000,000 steps, which
+first happens at r = 19 with minimum degree 10.  So without workers, a
+graph of at most 18 twin classes never loads numpy.  _plan holds this
+rule and says whether one pass can serve kappa and kappa'; only
+_kappa_pair asks for that pass.  "pure" and "numpy" always scan the
+whole graph, so each stays an independent check of the split.
 
 Everything refuses orders above an explicit cap rather than approximate.
 """
@@ -170,11 +168,13 @@ def _check_order(g: Graph, cap: int) -> None:
     _check_cap(g.n, cap)
 
 
-# A leaf's ascending scan costs about 0.092 us a mask.  Over the 2^r masks
-# of a whole-graph scan, the table kernel costs about 0.45 ns a mask, and
-# the pure scans 9 to 67 ns (unions of two G(n, 1/2), n + n' = 13..18), so
-# a leaf mask weighs as much as 200 table masks or about 4 pure ones
-_LEAF_COST = 200
+# A leaf mask weighs the median ratio of the split's time per leaf mask to
+# the whole-graph scan's per mask of its 2^r, over unions of two G(n, 1/2),
+# each weight over its own unions as leaves cost less a mask the larger
+# they are: 17 and 20 in two runs against the table at n + n' = 20..24
+# (18 against 1.0 ns), 3.9 and 4.3 against the pure scans at 13..18 (93
+# against 22 ns), on a 2.1 GHz Xeon
+_LEAF_COST = 20
 _LEAF_COST_PURE = 4
 
 
@@ -312,7 +312,8 @@ def _from_reps(mask: int, reps: tuple[int, ...]) -> int:
 def _scan_kappa(adj: tuple[int, ...], ub: int) -> tuple[int, int]:
     """Pure kappa scan over the subsets of the rows adj.
 
-    Returns the first (|Odd(C)\\C|, mask) maximum, stopping at ub.
+    Returns the first (|Odd(C)\\C|, mask) maximum, stopping at the first
+    mask whose value reaches ub; ub must be -1 or at least kappa.
     """
     pre = _neighbor_prefix(adj)
     odd = 0
@@ -336,8 +337,8 @@ _LAYER_COST = 2
 
 
 def _layered_scan(
-    adj: tuple[int, ...], n: int, ub: int, prime: bool
-) -> tuple[int, int, int, int]:
+    adj: tuple[int, ...], n: int, ub: int, prime: bool, parity: bool = False
+) -> tuple[int, ...]:
     """(kappa value, mask, kappa' value, mask) over the subsets of the rows adj.
 
     One pass visits the layers |C| = k = 1, 2, ... and, within a layer, the
@@ -346,7 +347,14 @@ def _layered_scan(
     kappa' the minimum of w over odd k.  Each keeps the smallest mask among
     its optima, so a tie across layers goes to the smaller mask.  ub = -1
     leaves kappa out, which then comes back as (-1, 0); without prime,
-    kappa' comes back as (n + 1, 0).
+    kappa' comes back as (n + 1, 0).  Otherwise ub must be at least kappa,
+    or with parity both maxima, as the kappa_bounds upper bound is: below
+    that, the result depends on the order in which a kernel meets masks.
+
+    With parity, kappa keeps one maximum for even k, from the empty set at
+    (0, 0), and one for odd k, from (-1, 0), and the pass returns _profile's
+    six values.  _twin_rows' proof covers all three optima: removing a twin
+    pair keeps the parity of |C|, and leaves the empty set only if it is even.
 
     Odd costs O(1) per mask.  With u = m & -m the low bit of m, at t, the
     carry of v = m + u lands on bit h, the low bit of v (not its top bit).
@@ -360,23 +368,29 @@ def _layered_scan(
     past.
 
     As s <= n - k and w >= k, kappa scans the layers k <= n - kv and
-    kappa' the odd layers k <= pv, for the best values kv and pv so far.
-    Once kv reaches cap = min(ub, n - k), no mask of layer k has a larger
-    s.  Only a tie with a smaller mask can then change the witness, so
-    layer k stops at km, whether kv reached cap inside the layer or before
-    it: the layers after the bound, and the layer k = n - kv, which can
-    only tie, are scanned only below km.  Stopping outright, as _scan_kappa
-    does, would keep a witness that a smaller mask in a later layer ties.
-    From k = 3 on, kappa goes to _scan_kappa instead once _LAYER_COST times
-    the masks of layers k..min(n - kv, r) reaches 2^r.
+    kappa' the odd layers k <= pv, for the best values kv and pv so far,
+    where with parity kv is the best of k's parity.  Once kv reaches cap =
+    min(ub, n - k), no mask of layer k has a larger s.  Only a tie with a
+    smaller mask can then change the witness, so layer k stops at km,
+    whether kv reached cap inside the layer or before it: the layers after
+    the bound, and the layer k = n - kv, which can only tie, are scanned
+    only below km.  Stopping outright, as _scan_kappa does, would keep a
+    witness that a smaller mask in a later layer ties.  Without parity,
+    from k = 3 on, kappa goes to _scan_kappa instead once _LAYER_COST times
+    the masks of layers k..min(n - kv, r) reaches 2^r; that scan does not
+    track parity.
     """
     r = len(adj)
     limit = 1 << r
     pre = [0, *_neighbor_prefix(adj)]
-    kappa_on = ub >= 0
-    kv, km, pv, pm = 0 if kappa_on else -1, 0, n + 1, 0
+    # kappa's [value, mask, still scanning] for even and for odd k: one
+    # list for both without parity, so each prunes by the overall maximum
+    state = [0, 0, True] if ub >= 0 else [-1, 0, False]
+    states = (state, [-1, 0, True]) if parity else (state, state)
+    pv, pm = n + 1, 0
     for k in range(1, r + 1):
-        if not kappa_on and not (prime and k <= pv):
+        kv, km, kappa_on = state = states[k & 1]
+        if not (states[0][2] or states[1][2] or prime and k <= pv):
             break
         first = (1 << k) - 1
         # w thresholds: a mask is looked at only if w >= kw or w <= pw
@@ -385,7 +399,7 @@ def _layered_scan(
             cap = min(ub, n - k)
             if kv > n - k or kv == cap and first >= km:
                 kappa_on = False
-            elif k >= 3 and _LAYER_COST * sum(
+            elif not parity and k >= 3 and _LAYER_COST * sum(
                 math.comb(r, j) for j in range(k, min(n - kv, r) + 1)
             ) >= limit:
                 kv, km = _scan_kappa(adj, ub)
@@ -418,7 +432,9 @@ def _layered_scan(
                 ^ pre[low.bit_length()]
             )
             m = v | low
-    return kv, km, pv, pm
+        state[:] = kv, km, kappa_on
+    (ev, em, _), (ov, om, _) = states
+    return (ev, em, ov, om, pv, pm) if parity else (ev, em, pv, pm)
 
 
 class _Part(Record):
@@ -521,32 +537,6 @@ def _better(v: int, m: int, v2: int, m2: int) -> tuple[int, int]:
     return (v, m) if v > v2 or v == v2 and m < m2 else (v2, m2)
 
 
-def _leaf_profile(part: _Part) -> tuple[int, int, int, int, int, int]:
-    """_profile of a leaf, by one ascending scan over the subsets of its rows.
-
-    The first strict improvement of each optimum is its smallest mask.
-    _twin_rows' proof covers the three optima, as removing a twin pair
-    keeps the parity of |C|, and C' may be empty only when C is even.
-    """
-    rows = part.rows
-    pre = _neighbor_prefix(rows)
-    odd = ev = em = om = wm = 0
-    ov, wv = -1, part.size + 1
-    for i in range(1, 1 << len(rows)):
-        odd ^= pre[(i & -i).bit_length() - 1]
-        s = (odd & ~i).bit_count()
-        k = i.bit_count()
-        if k & 1:
-            if s > ov:
-                ov, om = s, i
-            if s + k < wv:
-                wv, wm = s + k, i
-        elif s > ev:
-            ev, em = s, i
-    v = part.verts
-    return ev, _from_reps(em, v), ov, _from_reps(om, v), wv, _from_reps(wm, v)
-
-
 def _profile(part: _Part) -> tuple[int, int, int, int, int, int]:
     """(even max, mask, odd max, mask, odd min, mask): the profile of part.
 
@@ -555,7 +545,8 @@ def _profile(part: _Part) -> tuple[int, int, int, int, int, int]:
     of s over even |C|, the empty set included; the maximum of s over odd
     |C|; and the minimum of w over odd |C|.  Each comes with its smallest
     mask, over the vertices of g.  kappa is the better of the two maxima
-    and kappa' the minimum.
+    and kappa' the minimum.  A leaf's comes from the layered pass at its
+    degree bound size * D // (D + 1), which bounds both maxima.
 
     Union.  No edge joins two components, so Odd(C) is the union of the
     Odd(C_i) of the parts C_i = C n P_i, and s and |C| add up over them.
@@ -577,8 +568,15 @@ def _profile(part: _Part) -> tuple[int, int, int, int, int, int]:
     same sets C and so with the same smallest mask.  A join's children
     are the components of the complement, which unite as above.
     """
+    v = part.verts
+    if part.size == 1:  # K1: s = 0 on both subsets, and w = 1 on the vertex
+        return 0, 0, 0, 1 << v[0], 1, 1 << v[0]
     if not part.children:
-        return _leaf_profile(part)
+        d = max(row.bit_count() for row in part.rows)
+        ev, em, ov, om, wv, wm = _layered_scan(
+            part.rows, part.size, part.size * d // (d + 1), True, parity=True
+        )
+        return ev, _from_reps(em, v), ov, _from_reps(om, v), wv, _from_reps(wm, v)
     ev, em, ov, om, wv, wm = _profile(part.children[0])
     for child in part.children[1:]:
         e, e_m, o, o_m, w, w_m = _profile(child)

@@ -10,6 +10,7 @@ that cover one vertex per twin class.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from wodkit import Graph, _table, kappa_bounds, solvers
@@ -60,6 +61,32 @@ def kappa_prime_oracle(g: Graph) -> tuple[int, int]:
         if v < best_v:
             best_v, best_m = v, m
     return best_v, best_m
+
+
+@cache
+def profile_oracle(g: Graph) -> tuple[int, int, int, int, int, int]:
+    """The parity profile of g by ascending full enumeration.
+
+    (even max, mask, odd max, mask, odd min, mask): the largest
+    |Odd(C) \\ C| over even |C|, the empty set included, and over odd |C|,
+    and the smallest |C u Odd(C)| over odd |C|, each with its smallest
+    attaining mask.  Cached, as TestLayeredScan asks twice for each graph.
+    """
+    nbrs = neighbor_sets(g)
+    ev, em, ov, om, wv, wm = -1, 0, -1, 0, g.n + 1, 0
+    for m in range(1 << g.n):
+        c = {i for i in range(g.n) if m >> i & 1}
+        odd = {u for u in range(g.n) if len(nbrs[u] & c) % 2 == 1}
+        v = len(odd - c)
+        if len(c) % 2 == 0:
+            if v > ev:
+                ev, em = v, m
+            continue
+        if v > ov:
+            ov, om = v, m
+        if len(c | odd) < wv:
+            wv, wm = len(c | odd), m
+    return ev, em, ov, om, wv, wm
 
 
 def all_labeled_graphs(n: int):

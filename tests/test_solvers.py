@@ -14,6 +14,7 @@ from conftest import (
     full_width,
     kappa_oracle,
     kappa_prime_oracle,
+    profile_oracle,
     twin_blowup,
 )
 from wodkit import (
@@ -329,12 +330,12 @@ def three_cubic8():
 def test_kernel_choice_under_auto(monkeypatch):
     # which kernels each solve runs: the table for kappa, kappa' or both in
     # one fused pass, the layered pure pass likewise, the ascending kappa
-    # scan that the layered pass falls back to, and a split's leaf scans
+    # scan that the layered pass falls back to, and the layered pass over
+    # each leaf of a split, which gives its parity profile
     calls = []
     table_scan = _table._table_scan
     layered = solvers._layered_scan
     ascending = solvers._scan_kappa
-    leaf = solvers._leaf_profile
 
     def label(kernel, ub, prime):
         return (f"{kernel} fused" if ub >= 0 and prime
@@ -344,22 +345,17 @@ def test_kernel_choice_under_auto(monkeypatch):
         calls.append(label("table", ub, prime))
         return table_scan(adj, n, ub, prime, workers)
 
-    def layered_spy(adj, n, ub, prime):
-        calls.append(label("layered", ub, prime))
-        return layered(adj, n, ub, prime)
+    def layered_spy(adj, n, ub, prime, parity=False):
+        calls.append(f"leaf of {n}" if parity else label("layered", ub, prime))
+        return layered(adj, n, ub, prime, parity)
 
     def ascending_spy(adj, ub):
         calls.append("ascending kappa")
         return ascending(adj, ub)
 
-    def leaf_spy(part):
-        calls.append(f"leaf of {part.size}")
-        return leaf(part)
-
     monkeypatch.setattr(_table, "_table_scan", table_spy)
     monkeypatch.setattr(solvers, "_layered_scan", layered_spy)
     monkeypatch.setattr(solvers, "_scan_kappa", ascending_spy)
-    monkeypatch.setattr(solvers, "_leaf_profile", leaf_spy)
     # workers=2 below must not start processes
     monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
     dense19 = circulant(19, range(1, 6))
@@ -372,6 +368,13 @@ def test_kernel_choice_under_auto(monkeypatch):
         (random_graph(24, 1), {}, ["table fused"]),
         (cycle(24), {}, ["table kappa", "layered kappa'"]),
         (k1_g23, {}, ["table kappa", "layered kappa'"]),
+        # 20 * (2^5 + 2^19) < 2^24: a leaf mask weighs as much as 20 table
+        # masks, and a K1 leaf takes no pass at all
+        (disjoint_union(cycle(5), random_graph(19, 1)), {},
+         ["leaf of 5", "leaf of 19"]),
+        (disjoint_union(disjoint_union(Graph.empty(1), cycle(5)),
+                        random_graph(18, 1)), {},
+         ["leaf of 5", "leaf of 18"]),
         # the split: one leaf scan per copy serves kappa and kappa'
         (three_cubic8(), {}, ["leaf of 8"] * 3),
         (complement(three_cubic8()), {}, ["leaf of 8"] * 3),
@@ -506,6 +509,21 @@ def check_layered(g, rows=None):
     assert solvers._layered_scan(adj, n, -1, True) == (-1, 0, pv, pm), adj
 
 
+def check_profile(g):
+    """_layered_scan's parity profile against the oracle's.
+
+    The scans cover every row of g, and its twin rows where it has twins,
+    at the degree bound and at n + 1.
+    """
+    want = profile_oracle(g)
+    rows, reps = solvers._twin_rows(g.adj)
+    for adj, verts in {(g.adj, tuple(range(g.n))), (rows, reps)}:
+        for ub in (kappa_bounds(g)[1], g.n + 1):
+            got = solvers._layered_scan(adj, g.n, ub, True, True)
+            assert tuple(solvers._from_reps(x, verts) if i & 1 else x
+                         for i, x in enumerate(got)) == want, (g.adj, adj, ub)
+
+
 class TestLayeredScan:
     """The layered pass against the table kernel, on values and witnesses.
 
@@ -537,6 +555,18 @@ class TestLayeredScan:
         for n in range(3, 19):
             for g in (cycle(n), path(n), star(n)):
                 check_layered(g)
+
+    def test_parity_profile(self):
+        # the profile a split leaf takes, which never falls back
+        for n in range(1, 7):
+            for g in all_labeled_graphs(n):
+                check_profile(g)
+        rng = random.Random(46)
+        for _ in range(60):
+            check_profile(seeded_blowup(rng, rng.randint(1, 6)))
+        for n in range(3, 15):
+            for g in (cycle(n), path(n), star(n)):
+                check_profile(g)
 
     def test_seeded_graphs_of_order_13_to_20(self):
         # masks of up to 20 bits, where Gosper's carry crosses long runs of
