@@ -28,11 +28,14 @@ only the layers k <= n - kappa and kappa' only the odd layers k <=
 kappa', so on G(n, 1/2) it visits a few per cent of the subsets.  A layer
 k where kappa can no longer grow, because it has reached its degree bound
 or n - k, is scanned only below the best mask, for a smaller tie; the
-layer n - kappa is such a layer.  Where the layers kappa still needs hold
-most of the subsets, as on a cycle, the pass hands kappa to _scan_kappa,
-an ascending scan that steps from mask i-1 to mask i by flipping the low
-bit run of i and so costs one XOR and one popcount per subset.  When both
-quantities take the pure kernel, kappa_q gets them from one pass.
+layer n - kappa is such a layer.  For kappa', the odd layer k = kappa'
+is one too: every set D there has |D u Odd(D)| >= |D| = kappa', and the
+masks of a layer ascend, so only a mask below the best witness can change
+it.  Where the layers kappa still needs hold most of the subsets, as on
+a cycle, the pass hands kappa to _scan_kappa, an ascending scan that
+steps from mask i-1 to mask i by flipping the low bit run of i and so
+costs one XOR and one popcount per subset.  When both quantities take
+the pure kernel, kappa_q gets them from one pass.
 
 kappa and kappa' scan the subsets of one vertex per twin class, 2^r of
 them for r classes instead of 2^n (_twin_rows has the proof that values
@@ -375,10 +378,13 @@ def _layered_scan(
     whether kv reached cap inside the layer or before it: the layers after
     the bound, and the layer k = n - kv, which can only tie, are scanned
     only below km.  Stopping outright, as _scan_kappa does, would keep a
-    witness that a smaller mask in a later layer ties.  Without parity,
-    from k = 3 on, kappa goes to _scan_kappa instead once _LAYER_COST times
-    the masks of layers k..min(n - kv, r) reaches 2^r; that scan does not
-    track parity.
+    witness that a smaller mask in a later layer ties.  kappa' has the
+    same rule for its layer k = pv: every mask there has w >= k = pv, so
+    none beats pv, and as the masks of a layer ascend, none at or past pm
+    is a smaller tie, so that layer is scanned only below pm.  Without
+    parity, from k = 3 on, kappa goes to _scan_kappa instead once
+    _LAYER_COST times the masks of layers k..min(n - kv, r) reaches 2^r;
+    that scan does not track parity.
     """
     r = len(adj)
     limit = 1 << r
@@ -407,7 +413,7 @@ def _layered_scan(
             else:
                 kstop, kw = limit if kv < cap else km, kv + k
         if prime and k & 1 and k <= pv:
-            pstop, pw = limit, pv
+            pstop, pw = (limit if k < pv else pm), pv
         m, odd, stop = first, pre[k], max(kstop, pstop)
         while m < stop:
             w = (m | odd).bit_count()

@@ -19,6 +19,7 @@ from wodkit import (
     sample_and_measure,
     trial_seed,
 )
+from wodkit import solvers
 
 
 class TestBinaryEntropy:
@@ -221,3 +222,21 @@ class TestSampleAndMeasure:
         r = sample_and_measure(6, 1, 0)[0]
         assert isinstance(r, TrialReport)
         assert r.n == 6
+
+    def test_search_graphs_layered_matches_table(self):
+        # the first graph of each base seed of `wodkit search --n 18`, where
+        # auto takes one fused layered pass: the same values and witnesses as
+        # the table, and sample_and_measure reports those values
+        for base in range(30):
+            g = random_graph(18, trial_seed(base, 0))
+            plan = solvers._plan(g, "auto")
+            assert plan.split is None
+            assert not (plan.kappa_table or plan.prime_table)
+            got, want = kappa_q(g), kappa_q(g, engine="numpy")
+            assert (got.kappa.value, got.kappa.witness.mask,
+                    got.kappa_prime.value, got.kappa_prime.witness.mask) == (
+                want.kappa.value, want.kappa.witness.mask,
+                want.kappa_prime.value, want.kappa_prime.witness.mask), base
+            r = sample_and_measure(18, 30, base)[0]
+            assert (r.kappa, r.kappa_prime) == (
+                want.kappa.value, want.kappa_prime.value), base

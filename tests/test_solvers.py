@@ -603,6 +603,20 @@ class TestLayeredScan:
         assert solvers._layered_scan(g.adj, 6, 4, True)[:2] == (3, 0b111)
         check_layered(g)
 
+    def test_kappa_prime_tie_in_layer_kappa_prime(self):
+        # no twins and kappa' = 3: {3} (N(3) = {1, 2}) is the first optimum
+        # found, in layer 1, and the smaller {0, 1, 2} (Odd empty) ties it in
+        # layer 3 = kappa', which can only tie, so the pass must enter it
+        g = Graph.from_edges(
+            5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)]
+        )
+        assert len(solvers._twin_rows(g.adj)[0]) == 5
+        for m in (0b1000, 0b111):
+            c = VertexSet(m, 5)
+            assert len(c | odd_neighborhood(g, c)) == 3
+        assert solvers._layered_scan(g.adj, 5, -1, True) == (-1, 0, 3, 0b111)
+        check_layered(g)
+
     def test_tie_after_the_degree_bound(self):
         # the same path alone: {2} reaches the bound 2 in layer 1, and the
         # smaller {0, 1} ties it in layer 2, so the pass must not stop there
