@@ -31,11 +31,8 @@ or n - k, is scanned only below the best mask, for a smaller tie; the
 layer n - kappa is such a layer.  For kappa', the odd layer k = kappa'
 is one too: every set D there has |D u Odd(D)| >= |D| = kappa', and the
 masks of a layer ascend, so only a mask below the best witness can change
-it.  Where the layers kappa still needs hold most of the subsets, as on
-a cycle, the pass hands kappa to _scan_kappa, an ascending scan that
-steps from mask i-1 to mask i by flipping the low bit run of i and so
-costs one XOR and one popcount per subset.  When both quantities take
-the pure kernel, kappa_q gets them from one pass.
+it.  When both quantities take the pure kernel, kappa_q gets them from
+one pass.
 
 kappa and kappa' scan the subsets of one vertex per twin class, 2^r of
 them for r classes instead of 2^n (_twin_rows has the proof that values
@@ -312,33 +309,6 @@ def _from_reps(mask: int, reps: tuple[int, ...]) -> int:
     return sum(1 << v for i, v in enumerate(reps) if mask >> i & 1)
 
 
-def _scan_kappa(adj: tuple[int, ...], ub: int) -> tuple[int, int]:
-    """Pure kappa scan over the subsets of the rows adj.
-
-    Returns the first (|Odd(C)\\C|, mask) maximum, stopping at the first
-    mask whose value reaches ub; ub must be -1 or at least kappa.
-    """
-    pre = _neighbor_prefix(adj)
-    odd = 0
-    best_v = best_m = 0
-    for i in range(1, 1 << len(adj)):
-        odd ^= pre[(i & -i).bit_length() - 1]
-        cnt = (odd & ~i).bit_count()
-        if cnt > best_v:
-            best_v = cnt
-            best_m = i
-            if cnt >= ub:
-                break
-    return best_v, best_m
-
-
-# A layer step (a popcount, then Gosper's next mask and three prefix rows
-# into Odd) costs about two steps of _scan_kappa, which flips one prefix
-# row per mask: 2.2 to 2.3 times as long, 396 against 175 ns per mask on a
-# 2.1 GHz Xeon, over every layer of ten G(18, 1/2) and ten G(18, 0.15)
-_LAYER_COST = 2
-
-
 def _layered_scan(
     adj: tuple[int, ...], n: int, ub: int, prime: bool, parity: bool = False
 ) -> tuple[int, ...]:
@@ -377,14 +347,11 @@ def _layered_scan(
     smaller mask can then change the witness, so layer k stops at km,
     whether kv reached cap inside the layer or before it: the layers after
     the bound, and the layer k = n - kv, which can only tie, are scanned
-    only below km.  Stopping outright, as _scan_kappa does, would keep a
-    witness that a smaller mask in a later layer ties.  kappa' has the
-    same rule for its layer k = pv: every mask there has w >= k = pv, so
-    none beats pv, and as the masks of a layer ascend, none at or past pm
-    is a smaller tie, so that layer is scanned only below pm.  Without
-    parity, from k = 3 on, kappa goes to _scan_kappa instead once
-    _LAYER_COST times the masks of layers k..min(n - kv, r) reaches 2^r;
-    that scan does not track parity.
+    only below km.  Stopping outright would keep a witness that a smaller
+    mask in a later layer ties.  kappa' has the same rule for its layer
+    k = pv: every mask there has w >= k = pv, so none beats pv, and as the
+    masks of a layer ascend, none at or past pm is a smaller tie, so that
+    layer is scanned only below pm.
     """
     r = len(adj)
     limit = 1 << r
@@ -404,11 +371,6 @@ def _layered_scan(
         if kappa_on:
             cap = min(ub, n - k)
             if kv > n - k or kv == cap and first >= km:
-                kappa_on = False
-            elif not parity and k >= 3 and _LAYER_COST * sum(
-                math.comb(r, j) for j in range(k, min(n - kv, r) + 1)
-            ) >= limit:
-                kv, km = _scan_kappa(adj, ub)
                 kappa_on = False
             else:
                 kstop, kw = limit if kv < cap else km, kv + k

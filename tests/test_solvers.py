@@ -329,13 +329,11 @@ def three_cubic8():
 
 def test_kernel_choice_under_auto(monkeypatch):
     # which kernels each solve runs: the table for kappa, kappa' or both in
-    # one fused pass, the layered pure pass likewise, the ascending kappa
-    # scan that the layered pass falls back to, and the layered pass over
-    # each leaf of a split, which gives its parity profile
+    # one fused pass, the layered pure pass likewise, and the layered pass
+    # over each leaf of a split, which gives its parity profile
     calls = []
     table_scan = _table._table_scan
     layered = solvers._layered_scan
-    ascending = solvers._scan_kappa
 
     def label(kernel, ub, prime):
         return (f"{kernel} fused" if ub >= 0 and prime
@@ -349,13 +347,8 @@ def test_kernel_choice_under_auto(monkeypatch):
         calls.append(f"leaf of {n}" if parity else label("layered", ub, prime))
         return layered(adj, n, ub, prime, parity)
 
-    def ascending_spy(adj, ub):
-        calls.append("ascending kappa")
-        return ascending(adj, ub)
-
     monkeypatch.setattr(_table, "_table_scan", table_spy)
     monkeypatch.setattr(solvers, "_layered_scan", layered_spy)
-    monkeypatch.setattr(solvers, "_scan_kappa", ascending_spy)
     # workers=2 below must not start processes
     monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
     dense19 = circulant(19, range(1, 6))
@@ -387,8 +380,7 @@ def test_kernel_choice_under_auto(monkeypatch):
         # layered pass over the whole graph
         (disjoint_union(Graph.empty(1), random_graph(17, 1)), {},
          ["layered fused"]),
-        (power(cycle(5), 2), {"engine": "pure"},
-         ["layered fused", "ascending kappa"]),
+        (power(cycle(5), 2), {"engine": "pure"}, ["layered fused"]),
         # 24 vertices in 4 twin classes, connected and co-connected
         (p4_blowup(), {}, ["layered fused"]),
         (dense19, {}, ["layered kappa", "table kappa'"]),
@@ -396,8 +388,10 @@ def test_kernel_choice_under_auto(monkeypatch):
         (random_graph(18, 1), {"engine": "pure"}, ["layered fused"]),
         (random_graph(18, 1), {"engine": "pure", "workers": 2},
          ["table kappa", "layered kappa'"]),
-        # kappa is 4 after two layers, so layers 3..14 would cover most subsets
-        (cycle(18), {}, ["layered fused", "ascending kappa"]),
+        # a cycle is connected and co-connected, and has no twins: below
+        # r = 20 the one pass serves kappa and kappa', however many of its
+        # layers kappa still needs
+        (cycle(18), {}, ["layered fused"]),
     ]
     for g, kwargs, want in cases:
         calls.clear()
@@ -494,6 +488,13 @@ def path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def grid(rows, cols):
+    """The rows x cols grid, with vertex i * cols + j at row i, column j."""
+    n = rows * cols
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n) if (v + 1) % cols]
+                            + [(v, v + cols) for v in range(n - cols)])
+
+
 def check_layered(g, rows=None):
     """_layered_scan fused, kappa only and kappa' only, against the table.
 
@@ -525,17 +526,7 @@ def check_profile(g):
 
 
 class TestLayeredScan:
-    """The layered pass against the table kernel, on values and witnesses.
-
-    Each test runs twice: with the fallback to the ascending kappa scan as
-    it ships, and with it switched off, so that graphs small enough to take
-    it still run every layer.
-    """
-
-    @pytest.fixture(autouse=True, params=["fallback", "no fallback"])
-    def layer_cost(self, request, monkeypatch):
-        if request.param == "no fallback":
-            monkeypatch.setattr(solvers, "_LAYER_COST", 0)
+    """The layered pass against the table kernel, on values and witnesses."""
 
     def test_every_labelled_graph_up_to_order_6(self):
         for n in range(1, 7):
@@ -552,12 +543,16 @@ class TestLayeredScan:
     def test_families(self):
         check_layered(q3())
         check_layered(Graph.empty(1))
-        for n in range(3, 19):
+        # masks of up to 22 bits, and sparse graphs, whose kappa witness
+        # lies past the first layers (layer 5 to 7 on the grids and C20-C22)
+        for n in range(3, 23):
             for g in (cycle(n), path(n), star(n)):
                 check_layered(g)
+        for rows, cols in ((3, 6), (3, 7), (4, 5)):
+            check_layered(grid(rows, cols))
 
     def test_parity_profile(self):
-        # the profile a split leaf takes, which never falls back
+        # the profile a split leaf takes
         for n in range(1, 7):
             for g in all_labeled_graphs(n):
                 check_profile(g)
@@ -623,7 +618,6 @@ class TestLayeredScan:
         g = Graph.from_edges(4, [(0, 3), (1, 2), (2, 3)])
         assert kappa_bounds(g)[1] == 2
         assert solvers._layered_scan(g.adj, 4, 2, False)[:2] == (2, 0b11)
-        assert solvers._scan_kappa(g.adj, 2) == (2, 0b11)
         check_layered(g)
 
 
