@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import os
 import random
 import subprocess
@@ -525,8 +526,53 @@ def check_profile(g):
                          for i, x in enumerate(got)) == want, (g.adj, adj, ub)
 
 
+@functools.cache
+def ascending_kappa(adj, ub):
+    """(kappa value, mask) by an ascending scan over the subsets of adj.
+
+    The scan the layered pass once fell back to for kappa: mask i - 1 steps
+    to mask i by flipping the low bit run of i.  As the masks ascend, the
+    first maximum is the smallest witness, and the first mask to reach
+    ub >= kappa is one, so the scan stops there.
+    """
+    pre = _neighbor_prefix(adj)
+    odd = best_v = best_m = 0
+    for i in range(1, 1 << len(adj)):
+        odd ^= pre[(i & -i).bit_length() - 1]
+        cnt = (odd & ~i).bit_count()
+        if cnt > best_v:
+            best_v, best_m = cnt, i
+            if cnt >= ub:
+                break
+    return best_v, best_m
+
+
 class TestLayeredScan:
-    """The layered pass against the table kernel, on values and witnesses."""
+    """The layered pass against the table kernel, on values and witnesses.
+
+    Each test runs twice: with "no fallback", against the table kernel and
+    the oracles alone; with "fallback", every pass the test makes that
+    computes kappa is also checked against the ascending scan that the pass
+    used to fall back to, which finds kappa and its smallest witness
+    independently of the layers.  With parity, the better of the even and
+    the odd maximum is checked, the smaller mask on a tie.
+    """
+
+    @pytest.fixture(autouse=True, params=["fallback", "no fallback"])
+    def ascending_check(self, request, monkeypatch):
+        if request.param == "no fallback":
+            return
+        layered = solvers._layered_scan
+
+        def checked(adj, n, ub, prime, parity=False):
+            got = layered(adj, n, ub, prime, parity)
+            if ub >= 0:
+                best = max((got[0], -got[1]), (got[2], -got[3]))
+                kv, km = (best[0], -best[1]) if parity else got[:2]
+                assert (kv, km) == ascending_kappa(adj, ub), (adj, ub, parity)
+            return got
+
+        monkeypatch.setattr(solvers, "_layered_scan", checked)
 
     def test_every_labelled_graph_up_to_order_6(self):
         for n in range(1, 7):
