@@ -50,7 +50,9 @@ unite up the split to kappa and kappa' with their smallest witnesses
 fewer masks than the 2^r of a whole-graph scan, with a leaf mask weighed
 at its measured cost against a mask of that scan (_LEAF_COST).  Three
 disjoint copies of a cubic graph of order 8 then cost 768 leaf masks
-instead of 2^24 table masks.  Otherwise "auto" scans the whole graph:
+instead of 2^24 table masks.  Leaves with equal local rows share one scan
+per solve, so those copies run one pass over 256 masks, though the rule
+counts all three.  Otherwise "auto" scans the whole graph:
 kappa takes the table from r = 20 twin classes on, and kappa' once its
 layered scan over the r rows would cost more than 2,000,000 steps, which
 first happens at r = 19 with minimum degree 10.  So without workers, a
@@ -179,11 +181,12 @@ _LEAF_COST_PURE = 4
 
 
 class _Plan(Record):
-    """How a solve of g runs: g's twin rows, then a split or the kernels.
+    """How a solve of g runs: a split, or the kernels over g's twin rows.
 
-    With split set, kappa and kappa' come from its profile; otherwise
-    kappa_table and prime_table say which of them take the table kernel
-    over rows, and the others take the layered scan.
+    With split set, kappa and kappa' come from its profile, and rows and
+    reps stay empty; otherwise kappa_table and prime_table say which of
+    them take the table kernel over rows, and the others take the layered
+    scan.
     """
 
     __slots__ = ("rows", "reps", "kappa_table", "prime_table", "split")
@@ -231,14 +234,17 @@ def _plan(g: Graph, engine: str, workers: int | None = None) -> _Plan:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
+    split = _split(g.adj) if engine == "auto" else None
+    if split is not None:
+        # the split's rule needs only the count of twin classes, not the rows
+        r = len(_twin_classes(g.adj)[0])
+        weight = _LEAF_COST if r >= 20 else _LEAF_COST_PURE
+        if weight * _leaf_masks(split) < 1 << r:
+            return _Plan((), (), split=split)
     rows, reps = _twin_rows(g.adj)
     r = len(rows)
     if engine == "auto":
         k = r >= 20
-        split = _split(g.adj)
-        weight = _LEAF_COST if k else _LEAF_COST_PURE
-        if split is not None and weight * _leaf_masks(split) < 1 << r:
-            return _Plan(rows, reps, split=split)
         kp = _layered_cost(r, min_degree(g)) > 2_000_000
     else:
         k = kp = engine == "numpy"
@@ -261,15 +267,31 @@ def kappa_prime_bounds(g: Graph) -> tuple[int, int]:
     return -(-g.n // (g.n - d)), d + 1
 
 
-def _twin_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(rows, reps): the rows a kappa or kappa' scan needs, one per twin class.
+def _twin_classes(adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(reps, others): the smallest vertex of each twin class, and the rest.
 
     u and v are false twins when N(u) = N(v), and true twins when
     N(u) u {u} = N(v) u {v}.  Both are equivalences, and no vertex has twins
     of both kinds: if u, v are false twins and u, w true twins, then
     w in N(u) = N(v), so v in N(w) \\ {u} = N(u) \\ {w}, yet v is not in
-    N(u).  reps holds the smallest vertex of each class, ascending.
+    N(u).  Both lists ascend.
+    """
+    reps, others = [], []
+    open_rows, closed_rows = set(), set()
+    for v, row in enumerate(adj):
+        if row in open_rows or row | 1 << v in closed_rows:
+            others.append(v)
+        else:
+            reps.append(v)
+            open_rows.add(row)
+            closed_rows.add(row | 1 << v)
+    return reps, others
 
+
+def _twin_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(rows, reps): the rows a kappa or kappa' scan needs, one per twin class.
+
+    reps holds the smallest vertex of each class, ascending (_twin_classes).
     Take C holding twins u and v, and C' = C \\ {u, v}.  For false twins
     Odd(C) = Odd(C'); for true twins Odd(C) = Odd(C') xor {u, v}, and u, v
     are in C.  Either way s(C') >= s(C) and |C' u Odd(C')| <= |C u Odd(C)|,
@@ -284,29 +306,30 @@ def _twin_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     the other vertices after them; rows[i] is the relabelled neighbourhood
     of reps[i].  The relabelling keeps the order of the subsets of reps,
     so a scan of the 2^r masks over rows that returns the smallest optimal
-    mask finds the same value and, through _from_reps, the same witness.
+    mask finds the same value and, through _relabel(mask, reps), the same
+    witness.
     """
-    reps, others = [], []
-    open_rows, closed_rows = set(), set()
-    for v, row in enumerate(adj):
-        if row in open_rows or row | 1 << v in closed_rows:
-            others.append(v)
-        else:
-            reps.append(v)
-            open_rows.add(row)
-            closed_rows.add(row | 1 << v)
+    reps, others = _twin_classes(adj)
     if not others:
         return adj, tuple(reps)
-    pos = {v: i for i, v in enumerate(reps + others)}
-    rows = tuple(
-        sum(1 << pos[u] for u in range(len(adj)) if adj[v] >> u & 1) for v in reps
-    )
-    return rows, tuple(reps)
+    pos = [0] * len(adj)
+    for i, v in enumerate(reps + others):
+        pos[v] = i
+    return tuple(_relabel(adj[v], pos) for v in reps), tuple(reps)
 
 
-def _from_reps(mask: int, reps: tuple[int, ...]) -> int:
-    """The vertex mask of a scan mask over _twin_rows' rows."""
-    return sum(1 << v for i, v in enumerate(reps) if mask >> i & 1)
+def _relabel(mask: int, to: list[int] | tuple[int, ...]) -> int:
+    """mask with each bit u moved to bit to[u], set bit by set bit.
+
+    With to = reps, this is the vertex mask of a scan mask over
+    _twin_rows' rows.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << to[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _layered_scan(
@@ -484,12 +507,15 @@ def _module(adj: tuple[int, ...], part: int, co: bool) -> _Part:
     if len(parts) > 1:
         return _Part(part.bit_count(), True,
                      tuple(_module(adj, p, not co) for p in parts))
-    verts = [v for v in range(len(adj)) if part >> v & 1]
-    local = []
-    for v in verts:
-        row = (~adj[v] if co else adj[v]) & part & ~(1 << v)
-        local.append(sum(1 << i for i, u in enumerate(verts) if row >> u & 1))
-    rows, reps = _twin_rows(tuple(local))
+    verts, pos, rest = [], [0] * len(adj), part
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        pos[v] = len(verts)
+        verts.append(v)
+        rest ^= 1 << v
+    rows, reps = _twin_rows(tuple(
+        _relabel((~adj[v] if co else adj[v]) & part & ~(1 << v), pos) for v in verts
+    ))
     return _Part(len(verts), rows=rows, verts=tuple(verts[i] for i in reps))
 
 
@@ -505,7 +531,9 @@ def _better(v: int, m: int, v2: int, m2: int) -> tuple[int, int]:
     return (v, m) if v > v2 or v == v2 and m < m2 else (v2, m2)
 
 
-def _profile(part: _Part) -> tuple[int, int, int, int, int, int]:
+def _profile(
+    part: _Part, scans: dict[tuple[int, tuple[int, ...]], tuple[int, ...]]
+) -> tuple[int, int, int, int, int, int]:
     """(even max, mask, odd max, mask, odd min, mask): the profile of part.
 
     Over the subsets C of the part P, with s(C) = |Odd(C) \\ C| and
@@ -514,7 +542,11 @@ def _profile(part: _Part) -> tuple[int, int, int, int, int, int]:
     |C|; and the minimum of w over odd |C|.  Each comes with its smallest
     mask, over the vertices of g.  kappa is the better of the two maxima
     and kappa' the minimum.  A leaf's comes from the layered pass at its
-    degree bound size * D // (D + 1), which bounds both maxima.
+    degree bound size * D // (D + 1), which bounds both maxima.  Leaves
+    with equal (size, rows), such as the copies in r * G or the
+    co-components of its complement, share one pass: scans maps each to
+    its profile in local masks, for one solve, and each leaf maps those
+    masks through its own verts.
 
     Union.  No edge joins two components, so Odd(C) is the union of the
     Odd(C_i) of the parts C_i = C n P_i, and s and |C| add up over them.
@@ -540,14 +572,18 @@ def _profile(part: _Part) -> tuple[int, int, int, int, int, int]:
     if part.size == 1:  # K1: s = 0 on both subsets, and w = 1 on the vertex
         return 0, 0, 0, 1 << v[0], 1, 1 << v[0]
     if not part.children:
-        d = max(row.bit_count() for row in part.rows)
-        ev, em, ov, om, wv, wm = _layered_scan(
-            part.rows, part.size, part.size * d // (d + 1), True, parity=True
-        )
-        return ev, _from_reps(em, v), ov, _from_reps(om, v), wv, _from_reps(wm, v)
-    ev, em, ov, om, wv, wm = _profile(part.children[0])
+        key = part.size, part.rows
+        got = scans.get(key)
+        if got is None:
+            d = max(row.bit_count() for row in part.rows)
+            got = scans[key] = _layered_scan(
+                part.rows, part.size, part.size * d // (d + 1), True, parity=True
+            )
+        ev, em, ov, om, wv, wm = got
+        return ev, _relabel(em, v), ov, _relabel(om, v), wv, _relabel(wm, v)
+    ev, em, ov, om, wv, wm = _profile(part.children[0], scans)
     for child in part.children[1:]:
-        e, e_m, o, o_m, w, w_m = _profile(child)
+        e, e_m, o, o_m, w, w_m = _profile(child, scans)
         (ev, em), (ov, om) = (_better(ev + e, em + e_m, ov + o, om + o_m),
                               _better(ev + o, em + o_m, ov + e, om + e_m))
         if w < wv or w == wv and w_m < wm:
@@ -567,7 +603,7 @@ def _run(
     computes both quantities whatever is asked.
     """
     if plan.split is not None:
-        ev, em, ov, om, pv, pm = _profile(plan.split)
+        ev, em, ov, om, pv, pm = _profile(plan.split, {})
         return (*_better(ev, em, ov, om), pv, pm)
     if plan.kappa_table if ub >= 0 else plan.prime_table:
         from . import _table
@@ -575,7 +611,7 @@ def _run(
         kv, km, pv, pm = _table._table_scan(plan.rows, n, ub, prime, workers)
     else:
         kv, km, pv, pm = _layered_scan(plan.rows, n, ub, prime)
-    return kv, _from_reps(km, plan.reps), pv, _from_reps(pm, plan.reps)
+    return kv, _relabel(km, plan.reps), pv, _relabel(pm, plan.reps)
 
 
 class _SharedScan:

@@ -328,6 +328,17 @@ def three_cubic8():
     return g
 
 
+def q3_and_relabelled_copy():
+    """Q3 and a copy of it with vertices 0 and 1 swapped, which is no automorphism."""
+    g = q3()
+    swap = [1, 0, *range(2, 8)]
+    copy = Graph.from_edges(8, [(swap[u], swap[v]) for u, v in g.edges()])
+    g = disjoint_union(g, copy)
+    first, second = solvers._split(g.adj).children
+    assert first.rows != second.rows
+    return g
+
+
 def test_kernel_choice_under_auto(monkeypatch):
     # which kernels each solve runs: the table for kappa, kappa' or both in
     # one fused pass, the layered pure pass likewise, and the layered pass
@@ -369,14 +380,18 @@ def test_kernel_choice_under_auto(monkeypatch):
         (disjoint_union(disjoint_union(Graph.empty(1), cycle(5)),
                         random_graph(18, 1)), {},
          ["leaf of 5", "leaf of 18"]),
-        # the split: one leaf scan per copy serves kappa and kappa'
-        (three_cubic8(), {}, ["leaf of 8"] * 3),
-        (complement(three_cubic8()), {}, ["leaf of 8"] * 3),
-        (three_cubic8(), {"workers": 2}, ["leaf of 8"] * 3),
+        # the split: one leaf scan serves kappa and kappa', and the copies,
+        # or the co-components of the complement, have equal local rows,
+        # so they share it
+        (three_cubic8(), {}, ["leaf of 8"]),
+        (complement(three_cubic8()), {}, ["leaf of 8"]),
+        (three_cubic8(), {"workers": 2}, ["leaf of 8"]),
         (three_cubic8(), {"engine": "numpy"}, ["table fused"]),
+        # a relabelled copy has other local rows, and takes a scan of its own
+        (q3_and_relabelled_copy(), {}, ["leaf of 8"] * 2),
         # below r = 20 the whole-graph scan is pure too, and a leaf mask
         # weighs as much as 4 of its masks: 4 * 2 * 2^5 < 2^10
-        (power(cycle(5), 2), {}, ["leaf of 5"] * 2),
+        (power(cycle(5), 2), {}, ["leaf of 5"]),
         # 4 * (2 + 2^17) >= 2^18: the leaf would cost more than the
         # layered pass over the whole graph
         (disjoint_union(Graph.empty(1), random_graph(17, 1)), {},
@@ -408,6 +423,60 @@ def seeded_blowup(rng, base_order):
     return twin_blowup(base, sizes, [rng.random() < 0.5 for _ in sizes], order)
 
 
+def generator_twin_rows(adj):
+    """_twin_rows with each row relabelled by a generator over every vertex.
+
+    The oracle for the rows that _twin_rows and _module build from set
+    bits: the generator adds the new bit of each vertex u that is a
+    neighbour.
+    """
+    reps, others = [], []
+    open_rows, closed_rows = set(), set()
+    for v, row in enumerate(adj):
+        if row in open_rows or row | 1 << v in closed_rows:
+            others.append(v)
+        else:
+            reps.append(v)
+            open_rows.add(row)
+            closed_rows.add(row | 1 << v)
+    pos = {v: i for i, v in enumerate(reps + others)}
+    rows = tuple(
+        sum(1 << pos[u] for u in range(len(adj)) if adj[v] >> u & 1) for v in reps
+    )
+    return rows, tuple(reps)
+
+
+def generator_module(adj, part, co):
+    """_module with its local rows built by generators, and generator_twin_rows."""
+    if not part & (part - 1):
+        return solvers._Part(1, rows=(0,), verts=(part.bit_length() - 1,))
+    parts = solvers._components(adj, part, not co)
+    if len(parts) > 1:
+        return solvers._Part(part.bit_count(), True,
+                             tuple(generator_module(adj, p, not co) for p in parts))
+    verts = [v for v in range(len(adj)) if part >> v & 1]
+    local = []
+    for v in verts:
+        row = (~adj[v] if co else adj[v]) & part & ~(1 << v)
+        local.append(sum(1 << i for i, u in enumerate(verts) if row >> u & 1))
+    rows, reps = generator_twin_rows(tuple(local))
+    return solvers._Part(len(verts), rows=rows, verts=tuple(verts[i] for i in reps))
+
+
+def check_relabelling(g):
+    """_twin_rows and _module against the generator relabelling.
+
+    _module runs on each component of g and of its complement, as _split
+    calls it.
+    """
+    assert solvers._twin_rows(g.adj) == generator_twin_rows(g.adj), g.adj
+    full = (1 << g.n) - 1
+    for co in (False, True):
+        for part in solvers._components(g.adj, full, co):
+            assert (solvers._module(g.adj, part, co)
+                    == generator_module(g.adj, part, co)), (g.adj, part, co)
+
+
 class TestTwinReduction:
     ENGINES = ({"engine": "pure"}, {"engine": "numpy"},
                {"engine": "numpy", "workers": 2})
@@ -428,13 +497,24 @@ class TestTwinReduction:
         # representatives 0 and 2, which become 0 and 1
         path = Graph.from_edges(3, [(0, 2), (1, 2)])
         assert solvers._twin_rows(path.adj) == ((0b010, 0b101), (0, 2))
-        assert solvers._from_reps(0b10, (0, 2)) == 0b100
+        assert solvers._relabel(0b10, (0, 2)) == 0b100
 
     def test_every_labelled_graph_up_to_order_6(self, monkeypatch):
         monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
         for n in range(1, 7):
             for g in all_labeled_graphs(n):
                 self.check(g)
+
+    def test_relabelled_rows_match_the_generators(self):
+        for n in range(1, 7):
+            for g in all_labeled_graphs(n):
+                check_relabelling(g)
+        rng = random.Random(51)
+        for _ in range(200):
+            check_relabelling(seeded_blowup(rng, rng.randint(1, 7)))
+        for g in (p4_blowup(), complement(p4_blowup()), three_cubic8(),
+                  complete_multipartite(2, 12), complete_multipartite(3, 8)):
+            check_relabelling(g)
 
     def test_seeded_blowups(self, monkeypatch):
         monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
@@ -522,7 +602,7 @@ def check_profile(g):
     for adj, verts in {(g.adj, tuple(range(g.n))), (rows, reps)}:
         for ub in (kappa_bounds(g)[1], g.n + 1):
             got = solvers._layered_scan(adj, g.n, ub, True, True)
-            assert tuple(solvers._from_reps(x, verts) if i & 1 else x
+            assert tuple(solvers._relabel(x, verts) if i & 1 else x
                          for i, x in enumerate(got)) == want, (g.adj, adj, ub)
 
 
@@ -730,6 +810,37 @@ class TestSplit:
         for n in range(1, 25):
             for g in (Graph.empty(n), complete_multipartite(1, n), star(n)):
                 self.check(g)
+
+    def test_repeated_leaves(self):
+        # r copies of a leaf, and their complement, whose co-components
+        # are the copies' complements: equal leaves share one scan, and
+        # each maps its masks through its own vertices.  Every connected
+        # and co-connected labelled leaf of order 4 or 5 and seeded ones of
+        # order 6 and 7 take r = 2..4 while r * n <= 16, where the pure
+        # whole-graph scan stays quick; seeded order-5 leaves take r = 4
+        # and order-6 ones r = 3
+        rng = random.Random(50)
+        leaves = [g for n in (4, 5) for g in all_labeled_graphs(n)
+                  if solvers._split(g.adj) is None]
+        assert len(leaves) == 12 + 432
+        larger = []
+        while len(larger) < 20:
+            g = random_graph(6 + len(larger) % 2, rng.randrange(10**6))
+            if solvers._split(g.adj) is None:
+                larger.append(g)
+        cases = [(g, r) for g in leaves + larger for r in range(2, 5) if r * g.n <= 16]
+        cases += [(g, 4) for g in rng.sample(leaves[12:], 8)]
+        cases += [(g, 3) for g in larger[::2]]
+        for g, r in cases:
+            self.check(power(g, r))
+            self.check(complement(power(g, r)))
+        # a relabelled copy has other local rows, unless the relabelling is
+        # an automorphism, so its leaf must not take the first copy's scan
+        for g in leaves[::8] + larger:
+            h = relabelled(g, rng)
+            for u in (disjoint_union(g, h), join(g, h),
+                      disjoint_union(power(g, 2), h), join(h, power(g, 2))):
+                self.check(u)
 
     def test_union_and_join_of_leaves(self):
         # a leaf with true twins, one with false twins, and P4, which has
