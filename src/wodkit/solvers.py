@@ -34,6 +34,20 @@ masks of a layer ascend, so only a mask below the best witness can change
 it.  When both quantities take the pure kernel, kappa_q gets them from
 one pass.
 
+The third kernel, _infoset_scan, is pure too, and scans no subsets: it
+searches the binary code of the paper's graph state for its least
+weights.  The word of C is (C, Odd(C)), of weight |C u Odd(C)|, so
+kappa' is the least weight of a word with odd |C|, and n - kappa the
+least weight on the coset (C, Odd(C) xor V).  Given a half S of the
+vertices whose cut matrix A[S, V \\ S] is invertible over GF(2) (found
+by _find_cut), a word's restriction to S fixes it, and so does its
+restriction to V \\ S: two information sets.  Level K walks the
+C(n/2, K) * 3^K restrictions of weight K on each half, as XOR sums of
+basis words, and once both least weights are at most 2K + 1 every word
+that can reach them has been met, with every optimum (White and Grassl's
+minimum-weight search for additive codes, ISIT 2006).  On G(24, 1/2)
+both settle at level 3, after 13,142 restrictions.
+
 kappa and kappa' scan the subsets of one vertex per twin class, 2^r of
 them for r classes instead of 2^n (_twin_rows has the proof that values
 and witnesses stay the same); check_threshold_condition scans them all.
@@ -52,28 +66,39 @@ at its measured cost against a mask of that scan (_LEAF_COST).  Three
 disjoint copies of a cubic graph of order 8 then cost 768 leaf masks
 instead of 2^24 table masks.  Leaves with equal local rows share one scan
 per solve, so those copies run one pass over 256 masks, though the rule
-counts all three.  Otherwise "auto" scans the whole graph:
-kappa takes the table from r = 20 twin classes on, and kappa' once its
-layered scan over the r rows would cost more than 2,000,000 steps, which
-first happens at r = 19 with minimum degree 10.  So without workers, a
-graph of at most 18 twin classes never loads numpy.  _plan holds this
-rule and says whether one pass can serve kappa and kappa'; only
-_kappa_pair asks for that pass.  "pure" and "numpy" always scan the
-whole graph, so each stays an independent check of the split.
+counts all three.  Otherwise "auto" solves the whole graph.  Without
+workers > 1, a graph without twins, of even order n >= 22, goes to
+_infoset_scan for both quantities when _find_cut finds a cut and the
+degree bound leaves the scan within the levels that cost less than the
+table's 2^n masks (_infoset_levels, with a restriction weighed at its
+measured cost, _INFOSET_COST); a scan that needs more levels hands the
+solve to the table.  Otherwise kappa takes the table from r = 20 twin
+classes on, and kappa' once its layered scan over the r rows would cost
+more than 2,000,000 steps, which first happens at r = 19 with minimum
+degree 10.  So without workers, a graph of at most 18 twin classes never
+loads numpy, and neither does G(24, 1/2) when its scan settles in time.
+_plan holds this rule and says whether one pass can serve kappa and
+kappa'; only _kappa_pair asks for that pass.  "pure" and "numpy" always
+scan the whole graph's subsets, so each stays an independent check of
+the split and of the information-set scan.
 
 Everything refuses orders above an explicit cap rather than approximate.
 """
 from __future__ import annotations
 
+import functools
 import math
+import random
 from contextvars import ContextVar
 from enum import Enum
+from typing import Iterator
 
 from ._record import Record, _set
 from .graph import (
     Graph,
     VertexSet,
     _neighbor_prefix,
+    _odd_mask,
     max_degree,
     min_degree,
 )
@@ -178,6 +203,8 @@ def _check_order(g: Graph, cap: int) -> None:
 # against 22 ns), on a 2.1 GHz Xeon
 _LEAF_COST = 20
 _LEAF_COST_PURE = 4
+# a split has two leaves or more, each of 2 masks or more
+_LEAST_LEAF_MASKS = 4
 
 
 class _Plan(Record):
@@ -186,15 +213,17 @@ class _Plan(Record):
     With split set, kappa and kappa' come from its profile, and rows and
     reps stay empty; otherwise kappa_table and prime_table say which of
     them take the table kernel over rows, and the others take the layered
-    scan.
+    scan.  With cut set, both take _infoset_scan over that cut first, and
+    the table where it hands the solve on.
     """
 
-    __slots__ = ("rows", "reps", "kappa_table", "prime_table", "split")
+    __slots__ = ("rows", "reps", "kappa_table", "prime_table", "split", "cut")
     rows: tuple[int, ...]
     reps: tuple[int, ...]
     kappa_table: bool
     prime_table: bool
     split: _Part | None
+    cut: int
 
     def __init__(
         self,
@@ -203,12 +232,14 @@ class _Plan(Record):
         kappa_table: bool = False,
         prime_table: bool = False,
         split: _Part | None = None,
+        cut: int = 0,
     ) -> None:
         _set(self, "rows", rows)
         _set(self, "reps", reps)
         _set(self, "kappa_table", kappa_table)
         _set(self, "prime_table", prime_table)
         _set(self, "split", split)
+        _set(self, "cut", cut)
 
     @property
     def one_pass(self) -> bool:
@@ -224,9 +255,11 @@ def _plan(g: Graph, engine: str, workers: int | None = None) -> _Plan:
     splits g into parts when g or its complement is disconnected and the
     leaves of the split, weighed by _LEAF_COST where kappa would take the
     table and by _LEAF_COST_PURE where it would not, hold fewer masks than
-    2^r.  Otherwise it sends kappa to the table from r = 20 on, and kappa'
-    once its layered scan over the r rows would cost more than 2,000,000
-    steps.
+    2^r; below r = 5 no split can, and none is built.  Otherwise, without
+    workers > 1, it sends a twin-free g of even order n >= 22 to
+    _infoset_scan, when _infoset_cut finds a cut for it.  Otherwise it
+    sends kappa to the table from r = 20 on, and kappa' once its layered
+    scan over the r rows would cost more than 2,000,000 steps.
     workers > 1 sends kappa to the table wherever the whole graph is
     scanned.
     """
@@ -234,21 +267,41 @@ def _plan(g: Graph, engine: str, workers: int | None = None) -> _Plan:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
-    split = _split(g.adj) if engine == "auto" else None
+    reps, others = _twin_classes(g.adj)
+    r = len(reps)
+    # weighed at the lighter _LEAF_COST_PURE, a split's leaf masks reach
+    # 2^r below r = 5 however g falls apart, so no split is built there
+    can_split = _LEAF_COST_PURE * _LEAST_LEAF_MASKS < 1 << r
+    split = _split(g.adj) if engine == "auto" and can_split else None
     if split is not None:
-        # the split's rule needs only the count of twin classes, not the rows
-        r = len(_twin_classes(g.adj)[0])
         weight = _LEAF_COST if r >= 20 else _LEAF_COST_PURE
         if weight * _leaf_masks(split) < 1 << r:
             return _Plan((), (), split=split)
-    rows, reps = _twin_rows(g.adj)
-    r = len(rows)
-    if engine == "auto":
+    rows = _relabel_rows(g.adj, reps, others)
+    if engine != "auto":
+        k = kp = engine == "numpy"
+    elif (workers or 1) == 1 and not others and (cut := _infoset_cut(g)):
+        return _Plan(rows, tuple(reps), True, True, cut=cut)
+    else:
         k = r >= 20
         kp = _layered_cost(r, min_degree(g)) > 2_000_000
-    else:
-        k = kp = engine == "numpy"
-    return _Plan(rows, reps, k or (workers or 1) > 1, kp)
+    return _Plan(rows, tuple(reps), k or (workers or 1) > 1, kp)
+
+
+def _infoset_cut(g: Graph) -> int:
+    """A cut for _infoset_scan over the rows of g, which has no twins.
+
+    0 below order _INFOSET_MIN_ORDER, at odd order, where _find_cut finds
+    none, and where the degree bound already asks for more levels than
+    _infoset_levels: n - kappa >= n - ub takes the levels up to
+    (n - ub) // 2.  Sparse graphs stop there, such as C24 (ub = 16).
+    """
+    n = g.n
+    if n & 1 or n < _INFOSET_MIN_ORDER:
+        return 0
+    if (n - kappa_bounds(g)[1]) // 2 > _infoset_levels(n):
+        return 0
+    return _find_cut(g.adj)
 
 
 def kappa_bounds(g: Graph) -> tuple[int, int]:
@@ -310,12 +363,19 @@ def _twin_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     witness.
     """
     reps, others = _twin_classes(adj)
+    return _relabel_rows(adj, reps, others), tuple(reps)
+
+
+def _relabel_rows(
+    adj: tuple[int, ...], reps: list[int], others: list[int]
+) -> tuple[int, ...]:
+    """_twin_rows' rows, from _twin_classes' lists."""
     if not others:
-        return adj, tuple(reps)
+        return adj
     pos = [0] * len(adj)
     for i, v in enumerate(reps + others):
         pos[v] = i
-    return tuple(_relabel(adj[v], pos) for v in reps), tuple(reps)
+    return tuple(_relabel(adj[v], pos) for v in reps)
 
 
 def _relabel(mask: int, to: list[int] | tuple[int, ...]) -> int:
@@ -426,6 +486,200 @@ def _layered_scan(
         state[:] = kv, km, kappa_on
     (ev, em, _), (ov, om, _) = states
     return (ev, em, ov, om, pv, pm) if parity else (ev, em, pv, pm)
+
+
+# _infoset_scan takes twin-free graphs of even order from here on.  kappa_q
+# under auto, summed over G(n, p) for 4 seeds at each p = 0.2 .. 0.8,
+# against the kernels before it, interleaved, best of 7 on a 2.1 GHz Xeon:
+# 41.5 against 72.8 ms at n = 20, but 13.0 against 8.6 at p = 0.8 (up to
+# 1.7x on one graph), where the scan needs level 3 and hands on; 88.6
+# against 160.4 ms at n = 22, losing only at p = 0.8 (18.6 against 15.7);
+# 169.8 against 346.5 ms at n = 24, winning at every p
+_INFOSET_MIN_ORDER = 22
+# A restriction of _infoset_scan weighs this many masks of the table, the
+# median ratio over three G(24, 1/2), both kernels fused, on the same Xeon:
+# 560-580 ns a restriction over levels 0..3 against 0.89-0.93 ns a mask.
+# So order 22 affords levels 0..2, 24 and 26 levels 0..3, 28 levels 0..4
+_INFOSET_COST = 620
+# balanced cuts _find_cut tries: about 29% of random 12 x 12 matrices over
+# GF(2) are invertible, so all 64 random cuts of a G(24, 1/2) are singular
+# with odds near 0.71^64 = 3e-10.  A failed search took 30-100 us on sparse
+# graphs of order 24 (C24, the 4 x 6 grid, G(24, 0.1) and G(24, 0.15))
+_CUT_TRIES = 64
+
+
+@functools.cache
+def _cut_candidates(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """_CUT_TRIES seeded halves S of range(n), each as (mask, its vertices)."""
+    rng = random.Random(n)
+    halves = []
+    for _ in range(_CUT_TRIES):
+        verts = tuple(sorted(rng.sample(range(n), n // 2)))
+        halves.append((sum(1 << v for v in verts), verts))
+    return tuple(halves)
+
+
+def _find_cut(adj: tuple[int, ...]) -> int:
+    """A half S of the vertices whose cut matrix A[S, V \\ S] is invertible.
+
+    0 when none of _cut_candidates is.  The rows adj[v] & ~S, v in S, are
+    reduced one at a time against the pivots so far, each pivot the low
+    bit of its reduced row, and a row that reduces to 0 ends the try.
+    This rank test keeps no tags and clears no pivot above its row, so a
+    failed try costs a few microseconds; _unit_sources then inverts the
+    cut that passes.
+    """
+    full = (1 << len(adj)) - 1
+    for half, verts in _cut_candidates(len(adj)):
+        rest = full ^ half
+        pivots: list[tuple[int, int]] = []
+        for v in verts:
+            row = adj[v] & rest
+            for bit, prow in pivots:
+                if row & bit:
+                    row ^= prow
+            if not row:
+                break
+            pivots.append((row & -row, row))
+        else:
+            return half
+    return 0
+
+
+def _unit_sources(adj: tuple[int, ...], half: int, n: int) -> dict[int, int]:
+    """{v: U_v} for v in half: U_v lies outside half, and Odd(U_v) n half = {v}.
+
+    Gauss-Jordan over the rows adj[t] & half, t outside half, each tagged
+    with its own bit t above bit n, so that the tag of a reduced row is the
+    set of rows it sums; each pivot is the low bit of its reduced row.
+    half's cut matrix must be invertible.
+    """
+    done: list[tuple[int, int]] = []
+    rest = ((1 << n) - 1) ^ half
+    while rest:
+        t = rest & -rest
+        rest ^= t
+        row = adj[t.bit_length() - 1] & half | t << n
+        for bit, prow in done:
+            if row & bit:
+                row ^= prow
+        bit = row & -row
+        done = [(b, r ^ row if r & bit else r) for b, r in done]
+        done.append((bit, row))
+    return {bit.bit_length() - 1: row >> n for bit, row in done}
+
+
+@functools.cache
+def _infoset_levels(n: int) -> int:
+    """The last level K of _infoset_scan at order n that pays.
+
+    Levels 0..K visit 2 * sum C(n/2, j) * 3^j restrictions, j <= K; past
+    the returned K, they weigh more than the table's 2^n masks.
+    """
+    total = 0
+    for k in range(n // 2 + 1):
+        total += 2 * math.comb(n // 2, k) * 3**k
+        if total * _INFOSET_COST > 1 << n:
+            return k - 1
+    return n // 2
+
+
+def _infoset_scan(
+    adj: tuple[int, ...],
+    n: int,
+    ub: int,
+    prime: bool,
+    cut: int,
+    levels: int,
+) -> tuple[int, int, int, int] | None:
+    """(kappa value, mask, kappa' value, mask), from two information sets.
+
+    adj must hold all n rows of the graph, and cut a half S of its
+    vertices whose cut matrix A[S, T], T = V \\ S, is invertible
+    (_find_cut).  ub and prime are as for _layered_scan, but ub only
+    turns kappa on or off.  None comes back where the levels 0..levels
+    leave a quantity open, and _run then takes the table; n // 2 levels
+    settle every quantity.
+
+    The word of a set C is (C, Odd(C)), of weight w = |C u Odd(C)|; the
+    words form the binary code of the paper's graph state.  kappa' is the
+    least w over odd |C|, and n - kappa the least weight on the coset of
+    words (C, Odd(C) xor V): n - s(C) = |C u (V \\ Odd(C))|.  A word's
+    restriction to S, the pairs (v in C, v in Odd(C)) for v in S, fixes
+    C, as Odd(C) n S = A[S, S](C n S) xor A[S, T](C n T); and every
+    restriction is that of a word, as both spaces have 2^n elements.  The
+    same holds for T.  Restricting is linear, so the words of weight K on
+    S are the XOR sums of K basis words X_v, Z_v or Y_v = X_v xor Z_v of
+    distinct v in S: the words restricted to {v} as C and as Odd(C).  Z_v
+    is the word of _unit_sources' set for v, and X_v that of {v} plus Z_u
+    for u in N(v) n S.  The coset word with S-restriction R is R's word
+    xor the word of (0, S) xor (0, V), so one XOR sum serves both
+    quantities.
+
+    Level K walks, depth first, the words of weight K on S and then on T.
+    A word of weight w has weight at most w // 2 on S or on T, so after
+    level K every word of weight 2K + 1 or less has been met.  A quantity
+    whose best is within that is settled, with every one of its optima
+    met, so the smallest optimal mask comes out whatever the cut.
+    """
+    full = (1 << n) - 1
+    kappa_on = ub >= 0
+    halves = []
+    for half in (cut, full ^ cut):
+        zs = {v: y | _odd_mask(adj, y) << n
+              for v, y in _unit_sources(adj, half, n).items()}
+        words, off = [], full << n
+        for v, z in zs.items():
+            x = 1 << v | adj[v] << n
+            nbrs = adj[v] & half
+            while nbrs:
+                low = nbrs & -nbrs
+                x ^= zs[low.bit_length() - 1]
+                nbrs ^= low
+            words += (x, z, x ^ z)
+            off ^= z
+        halves.append((words, off))
+
+    kw, km, pw, pm = n, 0, n + 1, 0
+    for k in range(n // 2 + 1):
+        # the best weights of the open quantities, and -1, which no weight
+        # meets, for a settled or left-out one
+        kt = kw if kappa_on and kw >= 2 * k else -1
+        pt = pw if prime and pw >= 2 * k else -1
+        if kt < 0 and pt < 0:
+            break
+        if k > levels:
+            return None
+        for words, off in halves:
+            for x in _basis_sums(words, 0, k, 0):
+                w = ((x | x >> n) & full).bit_count()
+                if w <= pt:
+                    c = x & full
+                    if c.bit_count() & 1 and (w < pw or c < pm):
+                        pw = pt = w
+                        pm = c
+                x ^= off
+                w = ((x | x >> n) & full).bit_count()
+                if w <= kt:
+                    c = x & full
+                    if w < kw or c < km:
+                        kw = kt = w
+                        km = c
+    return n - kw if kappa_on else -1, km, pw, pm
+
+
+def _basis_sums(words: list[int], start: int, depth: int, acc: int) -> Iterator[int]:
+    """acc xor each sum of depth basis words of distinct vertices, depth first.
+
+    The vertices are those from the start-th of a half on, the words of
+    the i-th being words[3i:3i + 3].
+    """
+    if not depth:
+        yield acc
+        return
+    for i in range(start, len(words) // 3 - depth + 1):
+        for b in words[3 * i:3 * i + 3]:
+            yield from _basis_sums(words, i + 1, depth - 1, acc ^ b)
 
 
 class _Part(Record):
@@ -605,7 +859,12 @@ def _run(
     if plan.split is not None:
         ev, em, ov, om, pv, pm = _profile(plan.split, {})
         return (*_better(ev, em, ov, om), pv, pm)
-    if plan.kappa_table if ub >= 0 else plan.prime_table:
+    got = None
+    if plan.cut:
+        got = _infoset_scan(plan.rows, n, ub, prime, plan.cut, _infoset_levels(n))
+    if got is not None:
+        kv, km, pv, pm = got
+    elif plan.kappa_table if ub >= 0 else plan.prime_table:
         from . import _table
 
         kv, km, pv, pm = _table._table_scan(plan.rows, n, ub, prime, workers)

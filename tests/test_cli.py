@@ -179,6 +179,17 @@ class TestVerify:
         assert json.loads(proc.stdout) == {"kind": "WOD", "valid": False}
         assert "invalid" in proc.stderr
 
+    def test_witness_meeting_b_is_invalid(self):
+        # in K2 both vertices see C = {0, 1} oddly, so only C's overlap with
+        # B rejects it: B = V is never WOD
+        proc = run_cli(
+            "verify", "--graph", "A_",
+            "--certificate",
+            json.dumps({"kind": "WOD", "b": [0, 1], "witness": [0, 1]}),
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {"kind": "WOD", "valid": False}
+
     def test_valid_non_wod_certificate(self):
         proc = run_cli(
             "verify", "--graph", "A_",

@@ -5,7 +5,9 @@ of order at most 14.  derandomize=True makes every run draw the same
 examples, so these tests are as deterministic as the rest of the suite.
 Half of the arbitrary graphs are twin blow-ups, where the scans cover
 fewer vertices than the graph has.  Disjoint unions of two of them are
-what the default engine solves part by part.  Local complementation is deliberately
+what the default engine solves part by part.  Graphs of even order with
+an invertible balanced cut check the information-set kernel against the
+whole-graph ones.  Local complementation is deliberately
 not among the properties: kappa, kappa' and kappa_Q all change under it.
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ from wodkit import (
     complement,
     disjoint_union,
     kappa,
+    kappa_bounds,
     kappa_prime,
     kappa_q,
     parse_graph6,
@@ -27,6 +30,7 @@ from wodkit import (
     random_graph,
     write_graph6,
 )
+from wodkit import solvers
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -77,6 +81,22 @@ def test_pure_matches_numpy_on_seeded_graphs(g):
     assert solved(pure) == solved(table)
     assert kappa(g, engine="pure") == table.kappa
     assert kappa_prime(g, engine="pure") == table.kappa_prime
+
+
+even_graphs = st.one_of(
+    st.integers(1, 5).flatmap(lambda h: plain_graphs(min_n=2 * h, max_n=2 * h)),
+    st.builds(random_graph, st.sampled_from((8, 10, 12, 14)), st.integers(0, 10**6)),
+)
+
+
+@DETERMINISTIC
+@given(even_graphs)
+def test_infoset_scan_matches_the_whole_graph_kernels(g):
+    # over the cut _find_cut finds, where it finds one
+    cut = solvers._find_cut(g.adj)
+    assume(cut)
+    ub = kappa_bounds(g)[1]
+    assert solvers._infoset_scan(g.adj, g.n, ub, True, cut, g.n // 2) == full_width(g)
 
 
 @DETERMINISTIC

@@ -49,12 +49,12 @@ CASES = [
      "mask=4, universe=3), bounds_used=(2, 2)))"),
     (_Plan((1, 2), (0, 1)),
      "_Plan(rows=(1, 2), reps=(0, 1), kappa_table=False, prime_table=False, "
-     "split=None)"),
+     "split=None, cut=0)"),
     (_Plan((), (), split=_Part(2, False, (LEAF, LEAF))),
      "_Plan(rows=(), reps=(), kappa_table=False, prime_table=False, "
      "split=_Part(size=2, join=False, children=(_Part(size=1, join=False, "
      "children=(), rows=(0,), verts=(2,)), _Part(size=1, join=False, "
-     "children=(), rows=(0,), verts=(2,))), rows=(), verts=()))"),
+     "children=(), rows=(0,), verts=(2,))), rows=(), verts=()), cut=0)"),
     (LEAF, "_Part(size=1, join=False, children=(), rows=(0,), verts=(2,))"),
     (PerfectCode(VS), "PerfectCode(code=VertexSet(mask=1, universe=3))"),
     (LLLParams(100, 0.5, 0.1, 4.0), "LLLParams(n=100, c=0.5, d=0.1, r=4.0)"),

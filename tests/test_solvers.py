@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -35,6 +37,7 @@ from wodkit import (
     kappa_prime_bounds,
     kappa_q,
     odd_neighborhood,
+    parse_graph6,
     power,
     random_graph,
     verify_non_wod_certificate,
@@ -166,6 +169,19 @@ class TestKappa:
         assert (res.value, res.witness.mask) == (22, 1)
         assert solved(kappa_q(g, engine="numpy", workers=2)) == solved(
             kappa_q(g, engine="pure"))
+
+    def test_pool_merges_a_kappa_prime_witness_past_block_zero(self, monkeypatch):
+        # random_graph(17, 1) plus vertex 17, pendant on vertex 16: 18 twin
+        # classes in 4 blocks, and the smallest kappa' witness {17} lies
+        # in block 2, so only the merge of the pool's ranges can find it.
+        # The pool runs on threads, so the merge runs in this process
+        monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
+        g = parse_graph6("QTfboCvPUygtF]w|fWsNY^hW??G")
+        assert len(solvers._twin_rows(g.adj)[0]) == 18
+        res = kappa_q(g, engine="numpy", workers=2)
+        assert res.value == 16
+        assert (res.kappa.value, res.kappa.witness.to_sorted_list()) == (13, [2, 7, 16])
+        assert (res.kappa_prime.value, res.kappa_prime.witness.to_sorted_list()) == (2, [17])
 
     def test_spawn_without_main_guard_names_the_guard(self, tmp_path):
         # each spawned pool process re-runs this script and dies at its
@@ -339,13 +355,18 @@ def q3_and_relabelled_copy():
     return g
 
 
-def test_kernel_choice_under_auto(monkeypatch):
-    # which kernels each solve runs: the table for kappa, kappa' or both in
-    # one fused pass, the layered pure pass likewise, and the layered pass
-    # over each leaf of a split, which gives its parity profile
+def spy_on_kernels(monkeypatch):
+    """The list of kernel calls the solves after this one make, by label.
+
+    The table for kappa, kappa' or both in one fused pass, the layered
+    pure pass and _infoset_scan likewise, and the layered pass over each
+    leaf of a split, which gives its parity profile.  workers=2 runs its
+    pool on threads, so no process starts.
+    """
     calls = []
     table_scan = _table._table_scan
     layered = solvers._layered_scan
+    infoset = solvers._infoset_scan
 
     def label(kernel, ub, prime):
         return (f"{kernel} fused" if ub >= 0 and prime
@@ -359,10 +380,19 @@ def test_kernel_choice_under_auto(monkeypatch):
         calls.append(f"leaf of {n}" if parity else label("layered", ub, prime))
         return layered(adj, n, ub, prime, parity)
 
+    def infoset_spy(adj, n, ub, prime, cut, levels):
+        calls.append(label("infoset", ub, prime))
+        return infoset(adj, n, ub, prime, cut, levels)
+
     monkeypatch.setattr(_table, "_table_scan", table_spy)
     monkeypatch.setattr(solvers, "_layered_scan", layered_spy)
-    # workers=2 below must not start processes
+    monkeypatch.setattr(solvers, "_infoset_scan", infoset_spy)
     monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
+    return calls
+
+
+def test_kernel_choice_under_auto(monkeypatch):
+    calls = spy_on_kernels(monkeypatch)
     dense19 = circulant(19, range(1, 6))
     assert min_degree(random_graph(24, 1)) == 8
     assert (dense19.n, min_degree(dense19)) == (19, 10)
@@ -370,7 +400,17 @@ def test_kernel_choice_under_auto(monkeypatch):
     k1_g23 = disjoint_union(Graph.empty(1), random_graph(23, 1))
     assert solvers._split(k1_g23.adj) is not None
     cases = [
-        (random_graph(24, 1), {}, ["table fused"]),
+        # no twins, even order from 22 on, and an invertible balanced cut
+        (random_graph(24, 1), {}, ["infoset fused"]),
+        (random_graph(22, 1), {}, ["infoset fused"]),
+        (random_graph(24, 1), {"workers": 2}, ["table fused"]),
+        (random_graph(24, 1), {"engine": "numpy"}, ["table fused"]),
+        (random_graph(24, 1), {"engine": "pure"}, ["layered fused"]),
+        (random_graph(23, 1), {}, ["table fused"]),
+        (random_graph(20, 1), {}, ["table kappa", "layered kappa'"]),
+        # C24 has invertible cuts, but n - kappa >= n - 16 = 8 asks for
+        # level 4, past the levels that pay at order 24; the isolated
+        # vertex of K1 + G(23, 1/2) leaves a zero row in every cut matrix
         (cycle(24), {}, ["table kappa", "layered kappa'"]),
         (k1_g23, {}, ["table kappa", "layered kappa'"]),
         # 20 * (2^5 + 2^19) < 2^24: a leaf mask weighs as much as 20 table
@@ -413,6 +453,22 @@ def test_kernel_choice_under_auto(monkeypatch):
         calls.clear()
         kappa_q(g, **kwargs)
         assert calls == want, (g.n, kwargs)
+    # kappa and kappa' on their own take the kernel the plan gives kappa_q
+    calls.clear()
+    kappa(random_graph(24, 1))
+    kappa_prime(random_graph(24, 1))
+    assert calls == ["infoset kappa", "infoset kappa'"]
+
+
+def test_infoset_hands_off_to_the_table(monkeypatch):
+    # G(24, 1/2) settles at level 3: allowed levels 0..2 only, the scan
+    # hands the solve to the table, which returns the same result
+    g = random_graph(24, 1)
+    want = solved(kappa_q(g, engine="numpy"))
+    calls = spy_on_kernels(monkeypatch)
+    monkeypatch.setattr(solvers, "_infoset_levels", lambda n: 2)
+    assert solved(kappa_q(g)) == want
+    assert calls == ["infoset fused", "table fused"]
 
 
 def seeded_blowup(rng, base_order):
@@ -554,10 +610,11 @@ class TestTwinReduction:
             return table_scan(adj, n, ub, prime, workers)
 
         monkeypatch.setattr(_table, "_table_scan", spy)
-        # auto splits G_{2,12} and scans K24 = G_{1,24} in pure Python
+        # auto splits G_{2,12}, scans K24 = G_{1,24} in pure Python and
+        # sends G(24, 1/2) to _infoset_scan; G(23, 1/2) has odd order
         cases = [(complete_multipartite(2, 12), 12, {"engine": "numpy"}),
                  (complete_multipartite(1, 24), 1, {"engine": "numpy"}),
-                 (random_graph(24, 1), 24, {})]
+                 (random_graph(23, 1), 23, {})]
         for g, want, kwargs in cases:
             rows.clear()
             kappa_q(g, **kwargs)
@@ -747,6 +804,142 @@ class TestLayeredScan:
         check_layered(g)
 
 
+def cut_is_invertible(g, half):
+    """Whether the cut matrix A[half, V \\ half] of g is invertible over GF(2).
+
+    half must hold n / 2 vertices.  Its rows go into a basis kept in
+    descending order, whose members have distinct top bits, so min(row,
+    row ^ b) clears b's top bit from row; a row that reduces to 0 is
+    dependent.  Independent of solvers._find_cut's elimination.
+    """
+    rest = (1 << g.n) - 1 ^ half
+    basis = []
+    for v in range(g.n):
+        if half >> v & 1:
+            row = g.adj[v] & rest
+            for b in basis:
+                row = min(row, row ^ b)
+            if not row:
+                return False
+            basis.append(row)
+            basis.sort(reverse=True)
+    return True
+
+
+def seeded_gnp(n, p, seed):
+    """G(n, p) with each pair (u, v), u < v, in ascending order, an edge
+    when random.Random(seed).random() < p."""
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+
+
+def random_cuts(g, rng, count, tries=200):
+    """Up to count distinct invertible halves of g among seeded random ones."""
+    cuts = []
+    for _ in range(tries):
+        half = sum(1 << v for v in rng.sample(range(g.n), g.n // 2))
+        if half not in cuts and cut_is_invertible(g, half):
+            cuts.append(half)
+            if len(cuts) == count:
+                break
+    return cuts
+
+
+def check_infoset(g, cuts, alone=True):
+    """_infoset_scan over each cut against the table and the layered pass.
+
+    Fused over every cut, which must give the same values and witnesses,
+    and with alone, kappa alone and kappa' alone over the first.
+    """
+    adj, n = g.adj, g.n
+    ub = kappa_bounds(g)[1]
+    want = _table._table_scan(adj, n, ub, True, None)
+    assert solvers._layered_scan(adj, n, ub, True) == want, adj
+    for cut in cuts:
+        assert solvers._infoset_scan(adj, n, ub, True, cut, n // 2) == want, (adj, cut)
+    if alone:
+        assert solvers._infoset_scan(adj, n, ub, False, cuts[0], n // 2) == (
+            *want[:2], n + 1, 0)
+        assert solvers._infoset_scan(adj, n, -1, True, cuts[0], n // 2) == (
+            -1, 0, *want[2:])
+
+
+class TestInfosetScan:
+    """The two-information-set kernel, on values and both witnesses."""
+
+    def test_every_labelled_graph_of_order_4_and_6(self):
+        # the first two invertible cuts with vertex 0 in S, in the order of
+        # itertools.combinations: swapping S and T transposes the cut
+        # matrix, so every graph with an invertible cut has one of these.
+        # Order 6 checks the fused scan alone, to keep the test near 3 s
+        checked = 0
+        for n in (4, 6):
+            halves = [sum(1 << v for v in s)
+                      for s in itertools.combinations(range(n), n // 2) if 0 in s]
+            for g in all_labeled_graphs(n):
+                cuts = [h for h in halves if cut_is_invertible(g, h)][:2]
+                if cuts:
+                    check_infoset(g, cuts, alone=n == 4)
+                    checked += 1
+        # of the 64 + 32,768 labelled graphs
+        assert checked == 23_928
+
+    def test_seeded_graphs_of_even_order_8_to_16(self):
+        rng = random.Random(21)
+        checked = 0
+        for n in range(8, 17, 2):
+            for p in (0.3, 0.5, 0.7):
+                for _ in range(8):
+                    g = seeded_gnp(n, p, rng.randrange(10**6))
+                    cuts = random_cuts(g, rng, 3)
+                    if cuts:
+                        check_infoset(g, cuts)
+                        checked += 1
+        assert checked >= 100
+
+    def test_two_cuts_of_a_dense_graph_of_order_24(self):
+        g = random_graph(24, 1)
+        cuts = random_cuts(g, random.Random(24), 2)
+        assert len(cuts) == 2
+        want = _table._table_scan(g.adj, 24, kappa_bounds(g)[1], True, None)
+        for cut in cuts:
+            assert solvers._infoset_scan(g.adj, 24, kappa_bounds(g)[1], True, cut, 12) == want
+
+    def test_levels_cap_hands_the_solve_on(self):
+        # G(24, 1/2): both quantities settle at level 3
+        g = random_graph(24, 1)
+        ub, cut = kappa_bounds(g)[1], solvers._find_cut(g.adj)
+        want = solvers._infoset_scan(g.adj, 24, ub, True, cut, 12)
+        assert solvers._infoset_scan(g.adj, 24, ub, True, cut, 3) == want
+        assert solvers._infoset_scan(g.adj, 24, ub, True, cut, 2) is None
+
+    def test_find_cut(self):
+        # a found half is balanced and invertible; a zero row, as from an
+        # isolated vertex, leaves none
+        for seed in range(10):
+            for n in (8, 16, 24):
+                g = seeded_gnp(n, 0.5, seed)
+                cut = solvers._find_cut(g.adj)
+                if cut:
+                    assert cut.bit_count() == n // 2 and cut_is_invertible(g, cut)
+        assert solvers._find_cut(random_graph(24, 1).adj)
+        isolated = disjoint_union(Graph.empty(1), random_graph(23, 1))
+        assert solvers._find_cut(isolated.adj) == 0
+
+    def test_levels_that_pay(self):
+        # 2 * sum C(n/2, j) * 3^j restrictions through level K, weighed by
+        # _INFOSET_COST, against 2^n table masks
+        def cost(n, k):
+            return 2 * sum(math.comb(n // 2, j) * 3**j for j in range(k + 1))
+
+        for n in range(2, 31, 2):
+            k = solvers._infoset_levels(n)
+            assert k == n // 2 or cost(n, k + 1) * solvers._INFOSET_COST > 1 << n
+            assert k < 0 or cost(n, k) * solvers._INFOSET_COST <= 1 << n
+        assert [solvers._infoset_levels(n) for n in (22, 24, 26, 28)] == [2, 3, 3, 4]
+
+
 def join(g, h):
     """The join of g and h: their disjoint union plus every edge between them."""
     return complement(disjoint_union(complement(g), complement(h)))
@@ -780,6 +973,7 @@ class TestSplit:
         self.always = request.param == "always split"
         if self.always:
             monkeypatch.setattr(solvers, "_leaf_masks", lambda part: 0)
+            monkeypatch.setattr(solvers, "_LEAST_LEAF_MASKS", 0)
 
     def check(self, g):
         if self.always:
@@ -1011,6 +1205,9 @@ from wodkit import (Graph, cli, disjoint_union, kappa, kappa_q, random_graph,
 from wodkit.fixtures import petersen, q3
 
 kappa_q(random_graph(14, 3))
+# G(24, 1/2) has no twins and an invertible balanced cut: _infoset_scan
+g24 = random_graph(24, 1)
+infoset = kappa_q(g24)
 # three copies of Q3 split into pure leaf scans, and the P4 blow-up, of
 # order 24 in four twin classes, takes the pure scans whole
 kappa_q(disjoint_union(q3(), disjoint_union(q3(), q3())))
@@ -1032,6 +1229,7 @@ table = kappa(g, engine="numpy")
 assert "numpy" in sys.modules
 pure = kappa(g, engine="pure")
 assert (table.value, table.witness) == (pure.value, pure.witness)
+assert kappa_q(g24, engine="numpy") == infoset
 """
 
 

@@ -133,6 +133,12 @@ class TestVerifyPredicates:
         g = cycle(5)
         assert not verify_wod_certificate(g, vs(5, 1, 4), vs(5, 1))
 
+    def test_witness_inside_b_rejected(self):
+        # both vertices of K2 see C = V oddly; only C's overlap with B = V
+        # rejects it
+        k2 = complete_multipartite(1, 2)
+        assert not verify_wod_certificate(k2, VertexSet.full(2), VertexSet.full(2))
+
     def test_k2_non_wod_case(self):
         k2 = complete_multipartite(1, 2)
         assert verify_non_wod_certificate(k2, VertexSet.full(2), vs(2, 0))
