@@ -498,9 +498,11 @@ def _layered_scan(
 _INFOSET_MIN_ORDER = 22
 # A restriction of _infoset_scan weighs this many masks of the table, the
 # median ratio over three G(24, 1/2), both kernels fused, on the same Xeon:
-# 560-580 ns a restriction over levels 0..3 against 0.89-0.93 ns a mask.
-# So order 22 affords levels 0..2, 24 and 26 levels 0..3, 28 levels 0..4
-_INFOSET_COST = 620
+# about 280 ns a restriction over levels 0..3, the last word of each sum
+# taken in the scan's own flat loop, against about 0.9 ns a mask (medians
+# 301-316 over six runs).  So orders 22 and 24 afford levels 0..3, 26 and
+# 28 levels 0..4; any weight from 233 to 420 gives the same levels
+_INFOSET_COST = 310
 # balanced cuts _find_cut tries: about 29% of random 12 x 12 matrices over
 # GF(2) are invertible, so all 64 random cuts of a G(24, 1/2) are singular
 # with odds near 0.71^64 = 3e-10.  A failed search took 30-100 us on sparse
@@ -617,6 +619,11 @@ def _infoset_scan(
     quantities.
 
     Level K walks, depth first, the words of weight K on S and then on T.
+    _prefix_sums walks the sums of K - 1 basis words, and the scan's own
+    flat loop takes the K-th from the words of the vertices after the
+    last one summed, so that a restriction costs one XOR and the two
+    weight tests, about 280 ns on G(24, 1/2); yielding each one up
+    through K generator frames took about 540 ns.
     A word of weight w has weight at most w // 2 on S or on T, so after
     level K every word of weight 2K + 1 or less has been met.  A quantity
     whose best is within that is settled, with every one of its optima
@@ -638,7 +645,7 @@ def _infoset_scan(
                 nbrs ^= low
             words += (x, z, x ^ z)
             off ^= z
-        halves.append((words, off))
+        halves.append(([words[i:] for i in range(0, len(words), 3)], off))
 
     kw, km, pw, pm = n, 0, n + 1, 0
     for k in range(n // 2 + 1):
@@ -650,36 +657,45 @@ def _infoset_scan(
             break
         if k > levels:
             return None
-        for words, off in halves:
-            for x in _basis_sums(words, 0, k, 0):
-                w = ((x | x >> n) & full).bit_count()
-                if w <= pt:
-                    c = x & full
-                    if c.bit_count() & 1 and (w < pw or c < pm):
-                        pw = pt = w
-                        pm = c
-                x ^= off
-                w = ((x | x >> n) & full).bit_count()
-                if w <= kt:
-                    c = x & full
-                    if w < kw or c < km:
-                        kw = kt = w
-                        km = c
+        for tails, off in halves:
+            for acc, tail in _prefix_sums(tails, 0, k - 1, 0):
+                for b in tail:
+                    x = acc ^ b
+                    w = ((x | x >> n) & full).bit_count()
+                    if w <= pt:
+                        c = x & full
+                        if c.bit_count() & 1 and (w < pw or c < pm):
+                            pw = pt = w
+                            pm = c
+                    x ^= off
+                    w = ((x | x >> n) & full).bit_count()
+                    if w <= kt:
+                        c = x & full
+                        if w < kw or c < km:
+                            kw = kt = w
+                            km = c
     return n - kw if kappa_on else -1, km, pw, pm
 
 
-def _basis_sums(words: list[int], start: int, depth: int, acc: int) -> Iterator[int]:
-    """acc xor each sum of depth basis words of distinct vertices, depth first.
+def _prefix_sums(
+    tails: list[list[int]], start: int, depth: int, acc: int
+) -> Iterator[tuple[int, list[int]]]:
+    """(acc xor s, tail) for each sum s of depth basis words, depth first.
 
-    The vertices are those from the start-th of a half on, the words of
-    the i-th being words[3i:3i + 3].
+    tails[i] holds the basis words of a half's vertices from the i-th on,
+    three to a vertex, so tails[i][:3] are the i-th's own.  s takes one
+    word from each of depth distinct vertices from the start-th on, and
+    leaves at least one vertex after its last, i.  tail is tails[i + 1]
+    (tails[start] for the empty sum), so acc ^ s ^ b over b in tail runs
+    through the sums of depth + 1 words.  Depth -1 stands for level 0:
+    its one sum is the empty one, and tail is [0].
     """
-    if not depth:
-        yield acc
+    if depth <= 0:
+        yield acc, tails[start] if depth == 0 else [0]
         return
-    for i in range(start, len(words) // 3 - depth + 1):
-        for b in words[3 * i:3 * i + 3]:
-            yield from _basis_sums(words, i + 1, depth - 1, acc ^ b)
+    for i in range(start, len(tails) - depth):
+        for b in tails[i][:3]:
+            yield from _prefix_sums(tails, i + 1, depth - 1, acc ^ b)
 
 
 class _Part(Record):

@@ -937,7 +937,36 @@ class TestInfosetScan:
             k = solvers._infoset_levels(n)
             assert k == n // 2 or cost(n, k + 1) * solvers._INFOSET_COST > 1 << n
             assert k < 0 or cost(n, k) * solvers._INFOSET_COST <= 1 << n
-        assert [solvers._infoset_levels(n) for n in (22, 24, 26, 28)] == [2, 3, 3, 4]
+        assert [solvers._infoset_levels(n) for n in (22, 24, 26, 28)] == [3, 3, 4, 4]
+
+    def test_prefix_walk_meets_every_sum_once(self):
+        # 3m distinct single bits as the basis words of m vertices, so each
+        # sum names its words: level K must give one sum of one word from
+        # each of K distinct vertices, for every such choice, exactly once
+        for m in range(1, 7):
+            tails = [[1 << b for b in range(3 * i, 3 * m)] for i in range(m)]
+            for k in range(m + 1):
+                sums = [acc ^ b for acc, tail in solvers._prefix_sums(tails, 0, k - 1, 0)
+                        for b in tail]
+                want = {sum(1 << (3 * v + j) for v, j in zip(verts, picks))
+                        for verts in itertools.combinations(range(m), k)
+                        for picks in itertools.product(range(3), repeat=k)}
+                assert len(sums) == len(want) == math.comb(m, k) * 3**k
+                assert set(sums) == want
+
+    def test_an_optimum_split_evenly_between_the_halves(self):
+        # kappa' = 6 on this G(12, 0.7); its smallest witness C has
+        # C u Odd(C) 3 : 3 on S and T, so only level 3 meets it.  Optima
+        # of larger mask with at most 2 on a half are met by level 2, and
+        # would come out if the scan stopped there
+        g = seeded_gnp(12, 0.7, 7)
+        cut, c = 0b1110100101, 0b11110001
+        assert cut_is_invertible(g, cut)
+        word = c | solvers._odd_mask(g.adj, c)
+        assert (word & cut).bit_count() == (word & ~cut).bit_count() == 3
+        assert _table._table_scan(g.adj, 12, -1, True, None)[2:] == (6, c)
+        assert solvers._infoset_scan(g.adj, 12, -1, True, cut, 3) == (-1, 0, 6, c)
+        assert solvers._infoset_scan(g.adj, 12, -1, True, cut, 2) is None
 
 
 def join(g, h):
