@@ -1,8 +1,9 @@
 """GF(2) rank and linear solving over word-packed bit rows.
 
 Vectors and matrix rows are Python integers used as bitsets: bit i of a row
-is the entry in column i.  Everything a caller can observe is immutable;
-elimination always runs on a working copy.
+is the entry in column i.  Everything a caller can observe is immutable.
+_reduce is wodkit's one elimination routine: rank, solve, wod.pi and the
+solvers' cut search (_find_cut, _unit_sources) all run on it.
 """
 from __future__ import annotations
 
@@ -123,61 +124,55 @@ class BitMatrix(Record):
         return (self.rows[i] >> j) & 1
 
 
-def _eliminate(rows: list[int], n_cols: int) -> tuple[int, list[int]]:
-    """In-place Gauss-Jordan with leftmost-pivot selection.
+def _reduce(basis: list[tuple[int, int]], row: int, width: int) -> int:
+    """Reduce row against basis; it joins basis if nonzero below bit width.
 
-    Returns (rank, pivot_columns).  After the call `rows` is fully reduced:
-    pivot rows come first in pivot-column order and every non-pivot row is
-    zero in all n_cols matrix columns (bits above n_cols, if any, survive
-    and carry augmented data).
+    basis holds (pivot bit, row) pairs, each pivot the low bit of its row
+    and in no other row.  A joining row's pivot is cleared from the rest.
+    Bits from width up ride along as tags or as the augmented column.
+    Returns the reduced row.
     """
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        sel = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        pivot_cols.append(col)
-        r += 1
-    return r, pivot_cols
+    for bit, prow in basis:
+        if row & bit:
+            row ^= prow
+    if row & ((1 << width) - 1):
+        bit = row & -row
+        for i, (b, prow) in enumerate(basis):
+            if prow & bit:
+                basis[i] = (b, prow ^ row)
+        basis.append((bit, row))
+    return row
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) rank of m.  Empty matrices have rank 0."""
-    work = list(m.rows)
-    rk, _ = _eliminate(work, m.n_cols)
-    return rk
+    basis: list[tuple[int, int]] = []
+    for row in m.rows:
+        _reduce(basis, row, m.n_cols)
+    return len(basis)
 
 
 def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
     """Solve m @ x = b over GF(2).
 
-    Returns the canonical solution with every free variable fixed to 0
-    under leftmost-pivot Gauss-Jordan elimination, or None when the system
-    is inconsistent.  The output is deterministic for a given (m, b).
+    Returns the canonical solution, zero on every free column (one in the
+    span of the columns before it), or None when the system is
+    inconsistent: some row [m_i | b_i] reduces to the augmented bit alone.
+    The basis is then the unique reduced echelon form of m's row space,
+    and x is the pivot bits of the rows with the augmented bit set.
     """
     if b.length != m.n_rows:
         raise ValueError(
             f"right-hand side has length {b.length}, matrix has {m.n_rows} rows"
         )
     nc = m.n_cols
-    work = [m.rows[i] | (((b.bits >> i) & 1) << nc) for i in range(m.n_rows)]
-    rk, pivot_cols = _eliminate(work, nc)
-    for i in range(rk, len(work)):
-        # non-pivot rows are zero in the matrix columns; leftover bits mean
-        # the augmented column is outside the column space
-        if work[i]:
+    aug = 1 << nc
+    basis: list[tuple[int, int]] = []
+    for i, row in enumerate(m.rows):
+        if _reduce(basis, row | ((b.bits >> i) & 1) << nc, nc) == aug:
             return None
     x = 0
-    for i, col in enumerate(pivot_cols):
-        x |= ((work[i] >> nc) & 1) << col
+    for bit, row in basis:
+        if row & aug:
+            x |= bit
     return BitVector(x, nc)
-

@@ -94,6 +94,7 @@ from enum import Enum
 from typing import Iterator
 
 from ._record import Record, _set
+from .gf2 import _reduce
 from .graph import (
     Graph,
     VertexSet,
@@ -505,8 +506,9 @@ _INFOSET_MIN_ORDER = 22
 _INFOSET_COST = 310
 # balanced cuts _find_cut tries: about 29% of random 12 x 12 matrices over
 # GF(2) are invertible, so all 64 random cuts of a G(24, 1/2) are singular
-# with odds near 0.71^64 = 3e-10.  A failed search took 30-100 us on sparse
-# graphs of order 24 (C24, the 4 x 6 grid, G(24, 0.1) and G(24, 0.15))
+# with odds near 0.71^64 = 3e-10.  A failed search took 0.06-0.38 ms on
+# sparse graphs of order 24 (C24, the 4 x 6 grid, G(24, 0.1) and
+# G(24, 0.15)), which then take milliseconds in the other kernels
 _CUT_TRIES = 64
 
 
@@ -524,25 +526,18 @@ def _cut_candidates(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 def _find_cut(adj: tuple[int, ...]) -> int:
     """A half S of the vertices whose cut matrix A[S, V \\ S] is invertible.
 
-    0 when none of _cut_candidates is.  The rows adj[v] & ~S, v in S, are
-    reduced one at a time against the pivots so far, each pivot the low
-    bit of its reduced row, and a row that reduces to 0 ends the try.
-    This rank test keeps no tags and clears no pivot above its row, so a
-    failed try costs a few microseconds; _unit_sources then inverts the
-    cut that passes.
+    0 when none of _cut_candidates is.  The rows adj[v] & ~S, v in S, go
+    through gf2._reduce one at a time, and the first that reduces to 0
+    ends the try; _unit_sources then inverts the cut that passes.
     """
-    full = (1 << len(adj)) - 1
-    for half, verts in _cut_candidates(len(adj)):
+    n = len(adj)
+    full = (1 << n) - 1
+    for half, verts in _cut_candidates(n):
         rest = full ^ half
-        pivots: list[tuple[int, int]] = []
+        basis: list[tuple[int, int]] = []
         for v in verts:
-            row = adj[v] & rest
-            for bit, prow in pivots:
-                if row & bit:
-                    row ^= prow
-            if not row:
+            if not _reduce(basis, adj[v] & rest, n):
                 break
-            pivots.append((row & -row, row))
         else:
             return half
     return 0
@@ -551,24 +546,16 @@ def _find_cut(adj: tuple[int, ...]) -> int:
 def _unit_sources(adj: tuple[int, ...], half: int, n: int) -> dict[int, int]:
     """{v: U_v} for v in half: U_v lies outside half, and Odd(U_v) n half = {v}.
 
-    Gauss-Jordan over the rows adj[t] & half, t outside half, each tagged
-    with its own bit t above bit n, so that the tag of a reduced row is the
-    set of rows it sums; each pivot is the low bit of its reduced row.
-    half's cut matrix must be invertible.
+    The rows adj[t] & half, t outside half, go through gf2._reduce, each
+    tagged with its own bit t + n, so that a reduced row's tag is the set
+    of rows it sums.  half's cut matrix must be invertible, so the basis
+    ends as the unit rows {v}, v in half, and the tags as their sources.
     """
-    done: list[tuple[int, int]] = []
-    rest = ((1 << n) - 1) ^ half
-    while rest:
-        t = rest & -rest
-        rest ^= t
-        row = adj[t.bit_length() - 1] & half | t << n
-        for bit, prow in done:
-            if row & bit:
-                row ^= prow
-        bit = row & -row
-        done = [(b, r ^ row if r & bit else r) for b, r in done]
-        done.append((bit, row))
-    return {bit.bit_length() - 1: row >> n for bit, row in done}
+    basis: list[tuple[int, int]] = []
+    for t in range(n):
+        if not half >> t & 1:
+            _reduce(basis, adj[t] & half | 1 << t + n, n)
+    return {bit.bit_length() - 1: row >> n for bit, row in basis}
 
 
 @functools.cache

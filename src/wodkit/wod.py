@@ -9,13 +9,14 @@ cardinality D inside B keeps Odd(D) inside B; such a D falls out of the
 stacked system (all-ones row over cut_matrix(B)) . d = (1, 0, ..., 0).
 
 The two outcomes are mutually exclusive and exhaustive, and the rank
-increment pi(B) in {0, 1} decides between them.
+increment pi(B) in {0, 1} decides between them: one elimination of
+cut_matrix(B) tells whether the all-ones row lies outside its row space.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .gf2 import BitMatrix, BitVector, solve, rank
+from .gf2 import BitMatrix, BitVector, _reduce, solve
 from .graph import Graph, VertexSet, _odd_mask, _require_same_universe, cut_matrix
 
 __all__ = [
@@ -39,10 +40,10 @@ def _wod_system(g: Graph, b: VertexSet) -> tuple[BitMatrix, BitVector, list[int]
     return m, BitVector.ones(len(b)), outside
 
 
-def _non_wod_system(g: Graph, b: VertexSet) -> tuple[BitMatrix, BitMatrix]:
-    # (all-ones row over cut_matrix(B), cut_matrix(B)); the top row sums |D|
+def _non_wod_system(g: Graph, b: VertexSet) -> BitMatrix:
+    # all-ones row over cut_matrix(B); the top row sums |D|
     m = cut_matrix(g, b)
-    return BitMatrix(((1 << m.n_cols) - 1,) + m.rows, m.n_cols), m
+    return BitMatrix(((1 << m.n_cols) - 1,) + m.rows, m.n_cols)
 
 
 def is_wod(g: Graph, b: VertexSet) -> bool:
@@ -62,8 +63,11 @@ def pi(g: Graph, b: VertexSet) -> int:
     Always 0 or 1; equals 0 exactly when B is WOD.
     """
     _require_same_universe(g, b)
-    stacked, m = _non_wod_system(g, b)
-    return rank(stacked) - rank(m)
+    m = cut_matrix(g, b)
+    basis: list[tuple[int, int]] = []
+    for row in m.rows:
+        _reduce(basis, row, m.n_cols)
+    return int(_reduce(basis, (1 << m.n_cols) - 1, m.n_cols) != 0)
 
 
 def wod_certificate(g: Graph, b: VertexSet) -> Optional[VertexSet]:
@@ -88,7 +92,7 @@ def non_wod_certificate(g: Graph, b: VertexSet) -> Optional[VertexSet]:
     """
     _require_same_universe(g, b)
     members = b.to_sorted_list()
-    stacked, _ = _non_wod_system(g, b)
+    stacked = _non_wod_system(g, b)
     x = solve(stacked, BitVector(1, stacked.n_rows))
     if x is None:
         return None

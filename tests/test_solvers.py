@@ -810,7 +810,7 @@ def cut_is_invertible(g, half):
     half must hold n / 2 vertices.  Its rows go into a basis kept in
     descending order, whose members have distinct top bits, so min(row,
     row ^ b) clears b's top bit from row; a row that reduces to 0 is
-    dependent.  Independent of solvers._find_cut's elimination.
+    dependent.  Independent of gf2._reduce, which _find_cut runs on.
     """
     rest = (1 << g.n) - 1 ^ half
     basis = []
@@ -926,6 +926,20 @@ class TestInfosetScan:
         assert solvers._find_cut(random_graph(24, 1).adj)
         isolated = disjoint_union(Graph.empty(1), random_graph(23, 1))
         assert solvers._find_cut(isolated.adj) == 0
+
+    def test_unit_sources(self):
+        # on both halves of the cut found on G(n, 1/2): one source U_v per
+        # vertex v of the half, outside it, with Odd(U_v) n half = {v}
+        for n in (22, 24, 26):
+            g = random_graph(n, 1)
+            cut = solvers._find_cut(g.adj)
+            assert cut
+            for half in (cut, (1 << n) - 1 ^ cut):
+                sources = solvers._unit_sources(g.adj, half, n)
+                assert sorted(sources) == [v for v in range(n) if half >> v & 1]
+                for v, u in sources.items():
+                    assert u & half == 0
+                    assert odd_neighborhood(g, VertexSet(u, n)).mask & half == 1 << v
 
     def test_levels_that_pay(self):
         # 2 * sum C(n/2, j) * 3^j restrictions through level K, weighed by
