@@ -109,9 +109,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         }
     k_res = kp_res = None
     if {"kappa", "kappa_prime"} <= want:
-        # one table pass for both, as in kappa_q; _kappa_pair rather than
-        # kappa_q keeps compute's calls to kappa() and kappa_prime() as they
-        # were, which perfbench's traced cli-small run relies on
+        # one plan for both, and one pass where the plan allows, as in
+        # kappa_q: the split's profile, the layered pass, the
+        # information-set scan or the table; _kappa_pair rather than kappa_q
+        # keeps compute's calls to kappa() and kappa_prime() as they were,
+        # which perfbench's traced cli-small run relies on
         k_res, kp_res = _kappa_pair(
             g, cap=args.cap, engine=args.engine, workers=args.workers
         )

@@ -62,7 +62,8 @@ can keep kappa's maximum apart for even and odd |C|, and the profiles
 unite up the split to kappa and kappa' with their smallest witnesses
 (_profile has the proofs).  The split is taken when its leaves hold
 fewer masks than the 2^r of a whole-graph scan, with a leaf mask weighed
-at its measured cost against a mask of that scan (_LEAF_COST).  Three
+at its measured cost against a mask of that scan (_LEAF_COST); _split
+weighs the leaves as it builds them, and stops once they reach 2^r.  Three
 disjoint copies of a cubic graph of order 8 then cost 768 leaf masks
 instead of 2^24 table masks.  Leaves with equal local rows share one scan
 per solve, so those copies run one pass over 256 masks, though the rule
@@ -91,7 +92,7 @@ import math
 import random
 from contextvars import ContextVar
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ._record import Record, _set
 from .gf2 import _reduce
@@ -204,8 +205,6 @@ def _check_order(g: Graph, cap: int) -> None:
 # against 22 ns), on a 2.1 GHz Xeon
 _LEAF_COST = 20
 _LEAF_COST_PURE = 4
-# a split has two leaves or more, each of 2 masks or more
-_LEAST_LEAF_MASKS = 4
 
 
 class _Plan(Record):
@@ -223,7 +222,7 @@ class _Plan(Record):
     reps: tuple[int, ...]
     kappa_table: bool
     prime_table: bool
-    split: _Part | None
+    split: tuple | None
     cut: int
 
     def __init__(
@@ -232,7 +231,7 @@ class _Plan(Record):
         reps: tuple[int, ...],
         kappa_table: bool = False,
         prime_table: bool = False,
-        split: _Part | None = None,
+        split: tuple | None = None,
         cut: int = 0,
     ) -> None:
         _set(self, "rows", rows)
@@ -256,7 +255,8 @@ def _plan(g: Graph, engine: str, workers: int | None = None) -> _Plan:
     splits g into parts when g or its complement is disconnected and the
     leaves of the split, weighed by _LEAF_COST where kappa would take the
     table and by _LEAF_COST_PURE where it would not, hold fewer masks than
-    2^r; below r = 5 no split can, and none is built.  Otherwise, without
+    2^r; below r = 5 no split can, and none is built.  Only where the
+    split is refused are g's own rows relabelled.  Otherwise, without
     workers > 1, it sends a twin-free g of even order n >= 22 to
     _infoset_scan, when _infoset_cut finds a cut for it.  Otherwise it
     sends kappa to the table from r = 20 on, and kappa' once its layered
@@ -268,25 +268,23 @@ def _plan(g: Graph, engine: str, workers: int | None = None) -> _Plan:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
-    reps, others = _twin_classes(g.adj)
+    rows, reps = _twin_rows(g.adj, (1 << g.n) - 1, False, [0] * g.n)
     r = len(reps)
-    # weighed at the lighter _LEAF_COST_PURE, a split's leaf masks reach
-    # 2^r below r = 5 however g falls apart, so no split is built there
-    can_split = _LEAF_COST_PURE * _LEAST_LEAF_MASKS < 1 << r
-    split = _split(g.adj) if engine == "auto" and can_split else None
-    if split is not None:
-        weight = _LEAF_COST if r >= 20 else _LEAF_COST_PURE
-        if weight * _leaf_masks(split) < 1 << r:
+    # two leaves of 2 masks or more, weighed at the lighter _LEAF_COST_PURE,
+    # reach 2^r below r = 5 however g falls apart, so no split is built there
+    if engine == "auto" and _LEAF_COST_PURE * 4 < 1 << r:
+        split = _split(g.adj, _LEAF_COST if r >= 20 else _LEAF_COST_PURE, 1 << r)
+        if split is not None:
             return _Plan((), (), split=split)
-    rows = _relabel_rows(g.adj, reps, others)
+    rows = tuple(rows)
     if engine != "auto":
         k = kp = engine == "numpy"
-    elif (workers or 1) == 1 and not others and (cut := _infoset_cut(g)):
-        return _Plan(rows, tuple(reps), True, True, cut=cut)
+    elif (workers or 1) == 1 and r == g.n and (cut := _infoset_cut(g)):
+        return _Plan(rows, reps, True, True, cut=cut)
     else:
         k = r >= 20
         kp = _layered_cost(r, min_degree(g)) > 2_000_000
-    return _Plan(rows, tuple(reps), k or (workers or 1) > 1, kp)
+    return _Plan(rows, reps, k or (workers or 1) > 1, kp)
 
 
 def _infoset_cut(g: Graph) -> int:
@@ -321,31 +319,19 @@ def kappa_prime_bounds(g: Graph) -> tuple[int, int]:
     return -(-g.n // (g.n - d)), d + 1
 
 
-def _twin_classes(adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """(reps, others): the smallest vertex of each twin class, and the rest.
+def _twin_rows(
+    adj: tuple[int, ...], part: int, co: bool, pos: list[int]
+) -> tuple[Iterable[int], tuple[int, ...]]:
+    """(rows, reps): the rows a kappa or kappa' scan of H[part] needs.
 
-    u and v are false twins when N(u) = N(v), and true twins when
-    N(u) u {u} = N(v) u {v}.  Both are equivalences, and no vertex has twins
-    of both kinds: if u, v are false twins and u, w true twins, then
-    w in N(u) = N(v), so v in N(w) \\ {u} = N(u) \\ {w}, yet v is not in
-    N(u).  Both lists ascend.
-    """
-    reps, others = [], []
-    open_rows, closed_rows = set(), set()
-    for v, row in enumerate(adj):
-        if row in open_rows or row | 1 << v in closed_rows:
-            others.append(v)
-        else:
-            reps.append(v)
-            open_rows.add(row)
-            closed_rows.add(row | 1 << v)
-    return reps, others
+    H is the graph of the rows adj, or with co its complement, and part a
+    vertex mask; part = V gives g's own scan.  reps holds the smallest
+    vertex of each twin class of H[part], ascending.  u and v are false
+    twins when N(u) = N(v), and true twins when N(u) u {u} = N(v) u {v}.
+    Both are equivalences, and no vertex has twins of both kinds: if u, v
+    are false twins and u, w true twins, then w in N(u) = N(v), so v in
+    N(w) \\ {u} = N(u) \\ {w}, yet v is not in N(u).
 
-
-def _twin_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(rows, reps): the rows a kappa or kappa' scan needs, one per twin class.
-
-    reps holds the smallest vertex of each class, ascending (_twin_classes).
     Take C holding twins u and v, and C' = C \\ {u, v}.  For false twins
     Odd(C) = Odd(C'); for true twins Odd(C) = Odd(C') xor {u, v}, and u, v
     are in C.  Either way s(C') >= s(C) and |C' u Odd(C')| <= |C u Odd(C)|,
@@ -356,34 +342,45 @@ def _twin_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     keeps the value and gives a smaller integer unless it is the minimum
     already: the smallest optimum is a subset of reps.
 
-    rows relabels the graph with reps as 0..r-1, in ascending order, and
-    the other vertices after them; rows[i] is the relabelled neighbourhood
-    of reps[i].  The relabelling keeps the order of the subsets of reps,
-    so a scan of the 2^r masks over rows that returns the smallest optimal
-    mask finds the same value and, through _relabel(mask, reps), the same
-    witness.
+    rows relabels H[part] through pos, which this call sets to map reps to
+    0..r-1, in ascending order, and the other vertices of part after them;
+    rows[i] is the relabelled neighbourhood of reps[i].  The relabelling
+    keeps the order of the subsets of reps, so a scan of the 2^r masks over
+    rows that returns the smallest optimal mask finds the same value and,
+    through _relabel(mask, reps), the same witness.  rows is relabelled as
+    it is read, so a caller that needs only len(reps) pays for no more, and
+    must read it before pos changes; g's own rows, where g has no twins,
+    are adj itself.
     """
-    reps, others = _twin_classes(adj)
-    return _relabel_rows(adj, reps, others), tuple(reps)
-
-
-def _relabel_rows(
-    adj: tuple[int, ...], reps: list[int], others: list[int]
-) -> tuple[int, ...]:
-    """_twin_rows' rows, from _twin_classes' lists."""
-    if not others:
-        return adj
-    pos = [0] * len(adj)
+    n = len(adj)
+    whole = not co and part == (1 << n) - 1
+    # (v, v's row in H[part]) for v in part; ~adj[v] holds v itself
+    hood = enumerate(adj) if whole else [
+        (v, (~adj[v] ^ 1 << v if co else adj[v]) & part)
+        for v in range(n) if part >> v & 1
+    ]
+    reps, others, nbrs = [], [], []
+    open_rows, closed_rows = set(), set()
+    for v, row in hood:
+        if row in open_rows or row | 1 << v in closed_rows:
+            others.append(v)
+        else:
+            reps.append(v)
+            nbrs.append(row)
+            open_rows.add(row)
+            closed_rows.add(row | 1 << v)
+    if whole and not others:
+        return adj, tuple(reps)
     for i, v in enumerate(reps + others):
         pos[v] = i
-    return tuple(_relabel(adj[v], pos) for v in reps)
+    return (_relabel(row, pos) for row in nbrs), tuple(reps)
 
 
 def _relabel(mask: int, to: list[int] | tuple[int, ...]) -> int:
     """mask with each bit u moved to bit to[u], set bit by set bit.
 
     With to = reps, this is the vertex mask of a scan mask over
-    _twin_rows' rows.
+    _twin_rows' rows; with to = pos, it relabels a row into them.
     """
     out = 0
     while mask:
@@ -685,38 +682,6 @@ def _prefix_sums(
             yield from _prefix_sums(tails, i + 1, depth - 1, acc ^ b)
 
 
-class _Part(Record):
-    """A node of a split: a vertex set P of g, as a leaf or as children.
-
-    A leaf holds one row per twin class of the graph it induces, relabelled
-    0..len(rows)-1 like _twin_rows' rows, and verts[i], the vertex of g
-    behind row i.  An inner node unites its children's profiles; with
-    join, the children are the components of the complement of the graph
-    P induces, and the united profile goes through the join identities.
-    """
-
-    __slots__ = ("size", "join", "children", "rows", "verts")
-    size: int
-    join: bool
-    children: tuple[_Part, ...]
-    rows: tuple[int, ...]
-    verts: tuple[int, ...]
-
-    def __init__(
-        self,
-        size: int,
-        join: bool = False,
-        children: tuple[_Part, ...] = (),
-        rows: tuple[int, ...] = (),
-        verts: tuple[int, ...] = (),
-    ) -> None:
-        _set(self, "size", size)
-        _set(self, "join", join)
-        _set(self, "children", children)
-        _set(self, "rows", rows)
-        _set(self, "verts", verts)
-
-
 def _components(adj: tuple[int, ...], part: int, co: bool) -> list[int]:
     """The vertex masks of the components of H[part], ascending by least vertex.
 
@@ -740,47 +705,49 @@ def _components(adj: tuple[int, ...], part: int, co: bool) -> list[int]:
     return comps
 
 
-def _split(adj: tuple[int, ...]) -> _Part | None:
+def _split(adj: tuple[int, ...], weight: int, budget: int) -> tuple | None:
     """g as a union of its components or a join of its co-components.
 
-    None when g and its complement are both connected.  Each part then
-    splits the same way, down to leaves that are connected and co-connected
-    (Gallai's modular decomposition, cut at its prime and single-vertex
-    modules).
+    Each part splits the same way, down to leaves that are connected and
+    co-connected (Gallai's modular decomposition, cut at its prime and
+    single-vertex modules).  A node is a plain tuple.  An inner node
+    (size, join, children) is a part of size vertices, the union of its
+    children, or with join their join.  A leaf (size, rows, reps) holds
+    _twin_rows' scan of its part, and reps maps the scan's masks onto g;
+    a one-vertex leaf is just its vertex.  A leaf scans 2^len(rows) masks,
+    2 for one vertex, and the total is weighed as the leaves are built:
+    None once weight times it reaches budget, and where g and its
+    complement are both connected.
     """
-    full = (1 << len(adj)) - 1
+    n = len(adj)
     for co in (False, True):
-        parts = _components(adj, full, co)
+        parts = _components(adj, (1 << n) - 1, co)
         if len(parts) > 1:
-            return _Part(len(adj), co, tuple(_module(adj, p, co) for p in parts))
-    return None
+            break
+    else:
+        return None
+    pos = [0] * n
+    masks = 0
 
+    def module(part: int, co: bool) -> tuple | int | None:
+        # the split of H[part], which is connected; H is g, or with co its
+        # complement, and the node's profile is that of H[part].  Past the
+        # budget, every call returns at once
+        nonlocal masks
+        if weight * masks >= budget:
+            return None
+        if not part & (part - 1):
+            masks += 2
+            return part.bit_length() - 1
+        parts = _components(adj, part, not co)
+        if len(parts) > 1:
+            return part.bit_count(), True, tuple([module(p, not co) for p in parts])
+        rows, reps = _twin_rows(adj, part, co, pos)
+        masks += 1 << len(reps)
+        return part.bit_count(), tuple(rows), reps
 
-def _module(adj: tuple[int, ...], part: int, co: bool) -> _Part:
-    """The split of H[part], which is connected; H is g, or with co its complement."""
-    if not part & (part - 1):
-        return _Part(1, rows=(0,), verts=(part.bit_length() - 1,))
-    parts = _components(adj, part, not co)
-    if len(parts) > 1:
-        return _Part(part.bit_count(), True,
-                     tuple(_module(adj, p, not co) for p in parts))
-    verts, pos, rest = [], [0] * len(adj), part
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        pos[v] = len(verts)
-        verts.append(v)
-        rest ^= 1 << v
-    rows, reps = _twin_rows(tuple(
-        _relabel((~adj[v] if co else adj[v]) & part & ~(1 << v), pos) for v in verts
-    ))
-    return _Part(len(verts), rows=rows, verts=tuple(verts[i] for i in reps))
-
-
-def _leaf_masks(part: _Part) -> int:
-    """The masks the leaf scans of a split visit."""
-    if not part.children:
-        return 1 << len(part.rows)
-    return sum(_leaf_masks(c) for c in part.children)
+    tree = n, co, tuple([module(p, co) for p in parts])
+    return tree if weight * masks < budget else None
 
 
 def _better(v: int, m: int, v2: int, m2: int) -> tuple[int, int]:
@@ -789,11 +756,11 @@ def _better(v: int, m: int, v2: int, m2: int) -> tuple[int, int]:
 
 
 def _profile(
-    part: _Part, scans: dict[tuple[int, tuple[int, ...]], tuple[int, ...]]
+    node: tuple | int, scans: dict[tuple[int, tuple[int, ...]], tuple[int, ...]]
 ) -> tuple[int, int, int, int, int, int]:
-    """(even max, mask, odd max, mask, odd min, mask): the profile of part.
+    """(even max, mask, odd max, mask, odd min, mask): a split node's profile.
 
-    Over the subsets C of the part P, with s(C) = |Odd(C) \\ C| and
+    Over the subsets C of the node's part P, with s(C) = |Odd(C) \\ C| and
     w(C) = |C u Odd(C)| = |C| + s(C) in the graph P induces: the maximum
     of s over even |C|, the empty set included; the maximum of s over odd
     |C|; and the minimum of w over odd |C|.  Each comes with its smallest
@@ -803,7 +770,7 @@ def _profile(
     with equal (size, rows), such as the copies in r * G or the
     co-components of its complement, share one pass: scans maps each to
     its profile in local masks, for one solve, and each leaf maps those
-    masks through its own verts.
+    masks through its own reps.
 
     Union.  No edge joins two components, so Odd(C) is the union of the
     Odd(C_i) of the parts C_i = C n P_i, and s and |C| add up over them.
@@ -825,28 +792,29 @@ def _profile(
     same sets C and so with the same smallest mask.  A join's children
     are the components of the complement, which unite as above.
     """
-    v = part.verts
-    if part.size == 1:  # K1: s = 0 on both subsets, and w = 1 on the vertex
-        return 0, 0, 0, 1 << v[0], 1, 1 << v[0]
-    if not part.children:
-        key = part.size, part.rows
+    if isinstance(node, int):  # K1: s = 0 on both subsets, and w = 1 on the vertex
+        return 0, 0, 0, 1 << node, 1, 1 << node
+    if isinstance(node[1], tuple):  # a leaf
+        size, rows, reps = node
+        key = size, rows
         got = scans.get(key)
         if got is None:
-            d = max(row.bit_count() for row in part.rows)
+            d = max(row.bit_count() for row in rows)
             got = scans[key] = _layered_scan(
-                part.rows, part.size, part.size * d // (d + 1), True, parity=True
+                rows, size, size * d // (d + 1), True, parity=True
             )
         ev, em, ov, om, wv, wm = got
-        return ev, _relabel(em, v), ov, _relabel(om, v), wv, _relabel(wm, v)
-    ev, em, ov, om, wv, wm = _profile(part.children[0], scans)
-    for child in part.children[1:]:
+        return ev, _relabel(em, reps), ov, _relabel(om, reps), wv, _relabel(wm, reps)
+    size, join, children = node
+    ev, em, ov, om, wv, wm = _profile(children[0], scans)
+    for child in children[1:]:
         e, e_m, o, o_m, w, w_m = _profile(child, scans)
         (ev, em), (ov, om) = (_better(ev + e, em + e_m, ov + o, om + o_m),
                               _better(ev + o, em + o_m, ov + e, om + e_m))
         if w < wv or w == wv and w_m < wm:
             wv, wm = w, w_m
-    if part.join:
-        return ev, em, part.size - wv, wm, part.size - ov, om
+    if join:
+        return ev, em, size - wv, wm, size - ov, om
     return ev, em, ov, om, wv, wm
 
 
@@ -909,8 +877,10 @@ def kappa(
     """Exact kappa(G) with the lexicographically smallest optimal witness C.
 
     engine: "pure" runs the layered scan, "numpy" the blocked table
-    kernel, "auto" solves a disconnected graph or a join part by part and
-    otherwise picks by the number of twin classes (see _plan).  workers > 1
+    kernel, "auto" solves a disconnected graph or a join part by part,
+    sends a twin-free graph of even order n >= 22 to the information-set
+    kernel (_infoset_scan) when it finds a cut for it, and otherwise picks
+    by the number of twin classes (see _plan).  workers > 1
     runs the table kernel with its blocks split across processes; the
     returned value and witness are identical for every engine and worker
     count.  Where processes start by spawn (the default on macOS and

@@ -105,3 +105,6 @@ class TestNamedFixtureLookup:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             named_fixture("dodecahedron")
+        # a cubic- name whose order is no integer
+        with pytest.raises(ValueError, match="unknown fixture 'cubic-x'"):
+            named_fixture("cubic-x")

@@ -50,6 +50,12 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             vs(3, -1)
 
+    def test_universe_outside_range_rejected(self):
+        for universe in (-1, 63):
+            with pytest.raises(ValueError, match=f"universe {universe} outside"):
+                VertexSet(0, universe)
+        assert VertexSet(0, 62).universe == 62
+
     def test_algebra(self):
         a, b = vs(6, 0, 1, 2), vs(6, 2, 3)
         assert (a | b).to_sorted_list() == [0, 1, 2, 3]
@@ -105,6 +111,16 @@ class TestGraphType:
             Graph.empty(63)
         assert Graph.empty(62).n == 62
         assert Graph.empty(0).edges() == []
+        # rows given directly, past from_edges' own checks
+        with pytest.raises(ValueError, match="row 0 has bits outside"):
+            Graph(2, (0b110, 0b001))
+        with pytest.raises(ValueError, match="row 0 has bits outside"):
+            Graph(1, (-1,))
+        with pytest.raises(ValueError, match="loop at vertex 1"):
+            Graph(2, (0b00, 0b10))
+
+    def test_empty_graph_is_regular(self):
+        assert Graph.empty(0).is_regular()
 
     def test_duplicate_and_reversed_edges_collapse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])

@@ -144,6 +144,11 @@ class TestKappaEquality:
             assert lhs == rhs, write_graph6(g)
 
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            check_kappa_equality(Graph.empty(0))
+
+
 class TestKappaPrimeEquality:
     def test_edgeless_four(self):
         assert check_kappa_prime_equality(complement(k4()))
@@ -168,6 +173,10 @@ class TestKappaPrimeEquality:
         g = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
         with pytest.raises(PreconditionError, match="regular"):
             check_kappa_prime_equality(g)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            check_kappa_prime_equality(Graph.empty(0))
 
     def test_precondition_error_is_value_error(self):
         assert issubclass(PreconditionError, ValueError)

@@ -26,12 +26,11 @@ from wodkit import (
     kappa_q,
 )
 from wodkit.fixtures import q3
-from wodkit.solvers import _Part, _Plan, _SharedScan, _plan
+from wodkit.solvers import _Plan, _SharedScan, _plan
 
 VS = VertexSet(1, 3)
 K = ExtremalResult(Quantity.KAPPA, 2, VS, (1, 2))
 KP = ExtremalResult(Quantity.KAPPA_PRIME, 1, VertexSet(4, 3), (2, 2))
-LEAF = _Part(1, rows=(0,), verts=(2,))
 
 # (record, its repr as a frozen dataclass printed it)
 CASES = [
@@ -50,12 +49,12 @@ CASES = [
     (_Plan((1, 2), (0, 1)),
      "_Plan(rows=(1, 2), reps=(0, 1), kappa_table=False, prime_table=False, "
      "split=None, cut=0)"),
-    (_Plan((), (), split=_Part(2, False, (LEAF, LEAF))),
+    (_Plan((), (), split=(2, False, (0, 1))),
      "_Plan(rows=(), reps=(), kappa_table=False, prime_table=False, "
-     "split=_Part(size=2, join=False, children=(_Part(size=1, join=False, "
-     "children=(), rows=(0,), verts=(2,)), _Part(size=1, join=False, "
-     "children=(), rows=(0,), verts=(2,))), rows=(), verts=()), cut=0)"),
-    (LEAF, "_Part(size=1, join=False, children=(), rows=(0,), verts=(2,))"),
+     "split=(2, False, (0, 1)), cut=0)"),
+    (_Plan((1, 2), (0, 1), True, True, cut=1),
+     "_Plan(rows=(1, 2), reps=(0, 1), kappa_table=True, prime_table=True, "
+     "split=None, cut=1)"),
     (PerfectCode(VS), "PerfectCode(code=VertexSet(mask=1, universe=3))"),
     (LLLParams(100, 0.5, 0.1, 4.0), "LLLParams(n=100, c=0.5, d=0.1, r=4.0)"),
     (TrialReport(0, 1, 4, 2, 3, 2, 0.5, 0.25),

@@ -19,7 +19,7 @@ from wodkit import (
     sample_and_measure,
     trial_seed,
 )
-from wodkit import solvers
+from wodkit import search, solvers
 
 
 class TestBinaryEntropy:
@@ -114,6 +114,20 @@ class TestFeasibilityCondition:
             + math.log2(64.0) / 1000
         )
         assert abs(lll_condition(p) - expected) < 1e-12
+
+    def test_entropy_argument_past_the_clamp_raises(self):
+        # d = 0.9 + 1e-12 passes LLLParams' check, which allows 1 - c plus
+        # the clamp, but c/(1-d) = 1 + 1e-11 lies past 1 + _T_CLAMP
+        p = LLLParams(n=100, c=0.1, d=0.9 + 1e-12, r=4.0)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            lll_condition(p)
+
+    def test_entropy_argument_just_above_one_is_clamped(self):
+        # c/(1-d) = 1 + 2e-13, a rounding error within _T_CLAMP: it is
+        # taken as 1, where the binary entropy is 0
+        d = 0.5 + 1e-13
+        assert 1.0 < 0.5 / (1.0 - d) <= 1.0 + search._T_CLAMP
+        assert search._entropy_term(0.5, d) == (1.0 - d) * -1.0 + binary_entropy(d)
 
 
 class TestMinFeasibleC:

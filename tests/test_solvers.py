@@ -48,6 +48,24 @@ from wodkit.fixtures import cycle, k4, q3
 from wodkit.graph import _neighbor_prefix, min_degree
 
 
+def twin_rows(adj):
+    """solvers._twin_rows over every vertex of the graph of the rows adj."""
+    rows, reps = solvers._twin_rows(adj, (1 << len(adj)) - 1, False, [0] * len(adj))
+    return tuple(rows), reps
+
+
+def split_of(g):
+    """auto's split of g, built whatever its leaves weigh; None if g has none."""
+    return solvers._split(g.adj, 0, 1)
+
+
+def split_leaves(node):
+    """The leaves of a split node: a vertex, or (size, rows, reps)."""
+    if isinstance(node, int) or isinstance(node[1], tuple):
+        return [node]
+    return [leaf for child in node[2] for leaf in split_leaves(child)]
+
+
 def check_kappa_witness(g, res):
     c = res.witness
     dominated = odd_neighborhood(g, c) - c
@@ -149,7 +167,7 @@ class TestKappa:
         # cycle(18) has no twins, so its table spans 4 blocks, and kappa
         # reaches its bound 12 in block 0: the other 3 need no pool
         g = cycle(18)
-        rows = solvers._twin_rows(g.adj)[0]
+        rows = twin_rows(g.adj)[0]
         assert 1 << (len(rows) - _table._layout(rows, g.n)[0]) == 4
         assert kappa_bounds(g) == (2, 12)
         seq = kappa(g, engine="pure")
@@ -177,7 +195,7 @@ class TestKappa:
         # The pool runs on threads, so the merge runs in this process
         monkeypatch.setattr(_table, "ProcessPoolExecutor", ThreadPoolExecutor)
         g = parse_graph6("QTfboCvPUygtF]w|fWsNY^hW??G")
-        assert len(solvers._twin_rows(g.adj)[0]) == 18
+        assert len(twin_rows(g.adj)[0]) == 18
         res = kappa_q(g, engine="numpy", workers=2)
         assert res.value == 16
         assert (res.kappa.value, res.kappa.witness.to_sorted_list()) == (13, [2, 7, 16])
@@ -249,6 +267,8 @@ class TestKappa:
         assert kappa(random_graph(13, 1), cap=13).value >= 0
         with pytest.raises(ValueError):
             kappa(cycle(5), engine="magic")
+        with pytest.raises(ValueError, match="unknown engine 'magic'"):
+            solvers._plan(cycle(5), "magic")
         with pytest.raises(ValueError):
             kappa(cycle(5), workers=0)
 
@@ -340,7 +360,7 @@ def p4_blowup():
 def three_cubic8():
     """Three copies of a connected cubic graph of order 8, and no twins."""
     g = power(q3(), 3)
-    assert len(solvers._twin_rows(g.adj)[0]) == 24
+    assert len(twin_rows(g.adj)[0]) == 24
     return g
 
 
@@ -350,8 +370,8 @@ def q3_and_relabelled_copy():
     swap = [1, 0, *range(2, 8)]
     copy = Graph.from_edges(8, [(swap[u], swap[v]) for u, v in g.edges()])
     g = disjoint_union(g, copy)
-    first, second = solvers._split(g.adj).children
-    assert first.rows != second.rows
+    (_, first_rows, _), (_, second_rows, _) = split_of(g)[2]
+    assert first_rows != second_rows
     return g
 
 
@@ -398,7 +418,7 @@ def test_kernel_choice_under_auto(monkeypatch):
     assert (dense19.n, min_degree(dense19)) == (19, 10)
     # K1 + G(23, 1/2): its leaf of 2^23 masks costs more than the table
     k1_g23 = disjoint_union(Graph.empty(1), random_graph(23, 1))
-    assert solvers._split(k1_g23.adj) is not None
+    assert split_of(k1_g23) is not None
     cases = [
         # no twins, even order from 22 on, and an invertible balanced cut
         (random_graph(24, 1), {}, ["infoset fused"]),
@@ -460,6 +480,21 @@ def test_kernel_choice_under_auto(monkeypatch):
     assert calls == ["infoset kappa", "infoset kappa'"]
 
 
+def test_split_refused_at_its_budget(monkeypatch):
+    # GSf~~w falls apart into 8 one-vertex leaves of 2 masks each and has
+    # r = 6 twin classes: 4 * 16 = 2^6, which the strict rule refuses, so
+    # auto takes one layered pass over the whole graph
+    g = parse_graph6("GSf~~w")
+    assert len(twin_rows(g.adj)[0]) == 6
+    assert sorted(split_leaves(split_of(g))) == list(range(8))
+    assert solvers._split(g.adj, solvers._LEAF_COST_PURE, 1 << 6) is None
+    assert solvers._split(g.adj, solvers._LEAF_COST_PURE, (1 << 6) + 1) is not None
+    assert solvers._plan(g, "auto").split is None
+    calls = spy_on_kernels(monkeypatch)
+    kappa_q(g)
+    assert calls == ["layered fused"]
+
+
 def test_infoset_hands_off_to_the_table(monkeypatch):
     # G(24, 1/2) settles at level 3: allowed levels 0..2 only, the scan
     # hands the solve to the table, which returns the same result
@@ -480,11 +515,10 @@ def seeded_blowup(rng, base_order):
 
 
 def generator_twin_rows(adj):
-    """_twin_rows with each row relabelled by a generator over every vertex.
+    """_twin_rows over every vertex, each row relabelled by a generator.
 
-    The oracle for the rows that _twin_rows and _module build from set
-    bits: the generator adds the new bit of each vertex u that is a
-    neighbour.
+    The oracle for the rows that _twin_rows builds from set bits: the
+    generator adds the new bit of each vertex u that is a neighbour.
     """
     reps, others = [], []
     open_rows, closed_rows = set(), set()
@@ -502,35 +536,55 @@ def generator_twin_rows(adj):
     return rows, tuple(reps)
 
 
-def generator_module(adj, part, co):
-    """_module with its local rows built by generators, and generator_twin_rows."""
-    if not part & (part - 1):
-        return solvers._Part(1, rows=(0,), verts=(part.bit_length() - 1,))
-    parts = solvers._components(adj, part, not co)
-    if len(parts) > 1:
-        return solvers._Part(part.bit_count(), True,
-                             tuple(generator_module(adj, p, not co) for p in parts))
+def generator_leaf(adj, part, co):
+    """_twin_rows of H[part] from the local rows of part, by generators.
+
+    H is the graph of the rows adj, or with co its complement.
+    """
     verts = [v for v in range(len(adj)) if part >> v & 1]
     local = []
     for v in verts:
         row = (~adj[v] if co else adj[v]) & part & ~(1 << v)
         local.append(sum(1 << i for i, u in enumerate(verts) if row >> u & 1))
     rows, reps = generator_twin_rows(tuple(local))
-    return solvers._Part(len(verts), rows=rows, verts=tuple(verts[i] for i in reps))
+    return rows, tuple(verts[i] for i in reps)
+
+
+def generator_module(adj, part, co):
+    """The split node of H[part], its leaves built by generator_leaf."""
+    if not part & (part - 1):
+        return part.bit_length() - 1
+    parts = solvers._components(adj, part, not co)
+    if len(parts) > 1:
+        return (part.bit_count(), True,
+                tuple(generator_module(adj, p, not co) for p in parts))
+    return part.bit_count(), *generator_leaf(adj, part, co)
 
 
 def check_relabelling(g):
-    """_twin_rows and _module against the generator relabelling.
+    """_twin_rows and _split against the generator relabelling.
 
-    _module runs on each component of g and of its complement, as _split
-    calls it.
+    _twin_rows runs on g, and on each component of g and of its
+    complement with H = g and with H the complement, each time over a
+    position table the call before it left set; _split's whole tree
+    reuses one table across its leaves.
     """
-    assert solvers._twin_rows(g.adj) == generator_twin_rows(g.adj), g.adj
+    assert twin_rows(g.adj) == generator_twin_rows(g.adj), g.adj
     full = (1 << g.n) - 1
+    pos = list(range(g.n, 0, -1))
     for co in (False, True):
         for part in solvers._components(g.adj, full, co):
-            assert (solvers._module(g.adj, part, co)
-                    == generator_module(g.adj, part, co)), (g.adj, part, co)
+            for h in (False, True):
+                rows, reps = solvers._twin_rows(g.adj, part, h, pos)
+                assert ((tuple(rows), reps)
+                        == generator_leaf(g.adj, part, h)), (g.adj, part, h)
+    want = None
+    for co in (False, True):
+        parts = solvers._components(g.adj, full, co)
+        if len(parts) > 1:
+            want = g.n, co, tuple(generator_module(g.adj, p, co) for p in parts)
+            break
+    assert split_of(g) == want, g.adj
 
 
 class TestTwinReduction:
@@ -545,14 +599,19 @@ class TestTwinReduction:
     def test_twin_classes(self):
         # G_{2,3}: three classes of false twins; K4: one class of true
         # twins; P4 has no twins, so its rows stay as they are
-        assert solvers._twin_rows(complete_multipartite(2, 3).adj)[1] == (0, 2, 4)
-        assert solvers._twin_rows(k4().adj) == ((0b1110,), (0,))
+        assert twin_rows(complete_multipartite(2, 3).adj)[1] == (0, 2, 4)
+        assert twin_rows(k4().adj) == ((0b1110,), (0,))
         p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert solvers._twin_rows(p4.adj) == (p4.adj, (0, 1, 2, 3))
+        assert twin_rows(p4.adj) == (p4.adj, (0, 1, 2, 3))
         # in the path 0-2-1, the false twin 1 moves after the
         # representatives 0 and 2, which become 0 and 1
         path = Graph.from_edges(3, [(0, 2), (1, 2)])
-        assert solvers._twin_rows(path.adj) == ((0b010, 0b101), (0, 2))
+        assert twin_rows(path.adj) == ((0b010, 0b101), (0, 2))
+        # the complement of the path 0-2-1-3 on {0, 1, 2} is the edge 0-1
+        # and 2 alone: the true twin 1 moves after 0 and 2
+        path = Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)])
+        rows, reps = solvers._twin_rows(path.adj, 0b111, True, [0] * 4)
+        assert (tuple(rows), reps) == ((0b100, 0b000), (0, 2))
         assert solvers._relabel(0b10, (0, 2)) == 0b100
 
     def test_every_labelled_graph_up_to_order_6(self, monkeypatch):
@@ -595,7 +654,7 @@ class TestTwinReduction:
             order = list(range(18 + extra))
             rng.shuffle(order)
             g = twin_blowup(base, sizes, [rng.random() < 0.5 for _ in sizes], order)
-            assert len(solvers._twin_rows(g.adj)[0]) == 18
+            assert len(twin_rows(g.adj)[0]) == 18
             ub = kappa_bounds(g)[1]
             want = _table._table_scan(g.adj, g.n, ub, True, None)
             for workers in (None, 2):
@@ -655,7 +714,7 @@ def check_profile(g):
     at the degree bound and at n + 1.
     """
     want = profile_oracle(g)
-    rows, reps = solvers._twin_rows(g.adj)
+    rows, reps = twin_rows(g.adj)
     for adj, verts in {(g.adj, tuple(range(g.n))), (rows, reps)}:
         for ub in (kappa_bounds(g)[1], g.n + 1):
             got = solvers._layered_scan(adj, g.n, ub, True, True)
@@ -721,7 +780,7 @@ class TestLayeredScan:
         for _ in range(60):
             g = seeded_blowup(rng, rng.randint(1, 6))
             check_layered(g)
-            check_layered(g, solvers._twin_rows(g.adj)[0])
+            check_layered(g, twin_rows(g.adj)[0])
 
     def test_families(self):
         check_layered(q3())
@@ -788,7 +847,7 @@ class TestLayeredScan:
         g = Graph.from_edges(
             5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)]
         )
-        assert len(solvers._twin_rows(g.adj)[0]) == 5
+        assert len(twin_rows(g.adj)[0]) == 5
         for m in (0b1000, 0b111):
             c = VertexSet(m, 5)
             assert len(c | odd_neighborhood(g, c)) == 3
@@ -1015,13 +1074,13 @@ class TestSplit:
     def rule(self, request, monkeypatch):
         self.always = request.param == "always split"
         if self.always:
-            monkeypatch.setattr(solvers, "_leaf_masks", lambda part: 0)
-            monkeypatch.setattr(solvers, "_LEAST_LEAF_MASKS", 0)
+            monkeypatch.setattr(solvers, "_LEAF_COST", 0)
+            monkeypatch.setattr(solvers, "_LEAF_COST_PURE", 0)
 
     def check(self, g):
         if self.always:
             split = solvers._plan(g, "auto").split
-            assert (split is None) == (solvers._split(g.adj) is None)
+            assert (split is None) == (split_of(g) is None)
         want = solved(kappa_q(g, engine="pure"))
         assert solved(kappa_q(g, engine="numpy")) == want, g.adj
         assert solved(kappa_q(g)) == want, g.adj
@@ -1032,7 +1091,7 @@ class TestSplit:
         checked = 0
         for n in range(1, 7):
             for g in all_labeled_graphs(n):
-                if solvers._split(g.adj) is not None:
+                if split_of(g) is not None:
                     self.check(g)
                     checked += 1
         assert checked == 12_782
@@ -1058,12 +1117,12 @@ class TestSplit:
         # and order-6 ones r = 3
         rng = random.Random(50)
         leaves = [g for n in (4, 5) for g in all_labeled_graphs(n)
-                  if solvers._split(g.adj) is None]
+                  if split_of(g) is None]
         assert len(leaves) == 12 + 432
         larger = []
         while len(larger) < 20:
             g = random_graph(6 + len(larger) % 2, rng.randrange(10**6))
-            if solvers._split(g.adj) is None:
+            if split_of(g) is None:
                 larger.append(g)
         cases = [(g, r) for g in leaves + larger for r in range(2, 5) if r * g.n <= 16]
         cases += [(g, 4) for g in rng.sample(leaves[12:], 8)]
@@ -1117,6 +1176,8 @@ class TestBounds:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             kappa_bounds(Graph.empty(0))
+        with pytest.raises(ValueError, match="at least one vertex"):
+            kappa_prime_bounds(Graph.empty(0))
 
 
 class TestClosedForm:
