@@ -109,11 +109,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         }
     k_res = kp_res = None
     if {"kappa", "kappa_prime"} <= want:
-        # one plan for both, and one pass where the plan allows, as in
-        # kappa_q: the split's profile, the layered pass, the
-        # information-set scan or the table; _kappa_pair rather than kappa_q
-        # keeps compute's calls to kappa() and kappa_prime() as they were,
-        # which perfbench's traced cli-small run relies on
+        # one plan and one run for both, as in kappa_q: kappa() runs the
+        # solve and leaves kappa' for kappa_prime().  _kappa_pair rather
+        # than kappa_q keeps compute's calls to kappa() and kappa_prime()
+        # as they were, which perfbench's traced cli-small run relies on
         k_res, kp_res = _kappa_pair(
             g, cap=args.cap, engine=args.engine, workers=args.workers
         )

@@ -78,12 +78,18 @@ classes on, and kappa' once its layered scan over the r rows would cost
 more than 2,000,000 steps, which first happens at r = 19 with minimum
 degree 10.  So without workers, a graph of at most 18 twin classes never
 loads numpy, and neither does G(24, 1/2) when its scan settles in time.
-_plan holds this rule and says whether one pass can serve kappa and
-kappa'; only _kappa_pair asks for that pass.  "pure" and "numpy" always
-scan the whole graph's subsets, so each stays an independent check of
-the split and of the information-set scan.
+_plan holds this rule.  "pure" and "numpy" always scan the whole graph's
+subsets, so each stays an independent check of the split and of the
+information-set scan.
 
-Everything refuses orders above an explicit cap rather than approximate.
+kappa() plans and runs every solve that starts with it.  Under
+_kappa_pair, which kappa_q and `wodkit compute` call, its run returns
+kappa' too, whatever kernels the plan picked, and leaves it for
+kappa_prime() in a context variable; kappa_prime() plans its own solve
+only where it is called on its own.
+
+Everything refuses orders above an explicit cap rather than approximate;
+_plan checks it, first, for kappa, kappa_prime and kappa_q.
 """
 from __future__ import annotations
 
@@ -191,12 +197,6 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-def _check_order(g: Graph, cap: int) -> None:
-    if g.n < 1:
-        raise ValueError("solvers require a graph with at least one vertex")
-    _check_cap(g.n, cap)
-
-
 # A leaf mask weighs the median ratio of the split's time per leaf mask to
 # the whole-graph scan's per mask of its 2^r, over unions of two G(n, 1/2),
 # each weight over its own unions as leaves cost less a mask the larger
@@ -241,14 +241,14 @@ class _Plan(Record):
         _set(self, "split", split)
         _set(self, "cut", cut)
 
-    @property
-    def one_pass(self) -> bool:
-        """Whether one pass serves kappa and kappa': a split, or one kernel."""
-        return self.split is not None or self.kappa_table == self.prime_table
 
-
-def _plan(g: Graph, engine: str, workers: int | None = None) -> _Plan:
+def _plan(
+    g: Graph, engine: str, workers: int | None = None, cap: int = DEFAULT_CAP
+) -> _Plan:
     """The kernels of a solve of g: the one place that chooses them.
+
+    It first refuses a g without vertices or of order above cap, the one
+    check of both for kappa, kappa_prime and kappa_q.
 
     "numpy" sends kappa and kappa' to the table kernel and "pure" to the
     layered scan, each over the r twin rows of the whole graph.  "auto"
@@ -264,6 +264,9 @@ def _plan(g: Graph, engine: str, workers: int | None = None) -> _Plan:
     workers > 1 sends kappa to the table wherever the whole graph is
     scanned.
     """
+    if g.n < 1:
+        raise ValueError("solvers require a graph with at least one vertex")
+    _check_cap(g.n, cap)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if engine not in _ENGINES:
@@ -824,12 +827,19 @@ def _run(
     """(kappa value, mask, kappa' value, mask) as the plan says, masks over g.
 
     ub and prime are as for _layered_scan and _table._table_scan: ub = -1
-    asks for kappa' alone, which takes prime_table's kernel.  A split
+    asks for kappa' alone, which takes prime_table's kernel.  With prime,
+    both come back whatever kernels the plan picked: a split, the
+    information-set scan and a kernel that both take give them in one
+    pass, and where kappa_table and prime_table differ, kappa runs on its
+    kernel with workers, then kappa' on its own without them.  A split
     computes both quantities whatever is asked.
     """
     if plan.split is not None:
         ev, em, ov, om, pv, pm = _profile(plan.split, {})
         return (*_better(ev, em, ov, om), pv, pm)
+    if prime and ub >= 0 and plan.kappa_table != plan.prime_table:
+        kv, km, _, _ = _run(plan, n, ub, False, workers)
+        return (kv, km, *_run(plan, n, -1, True, None)[2:])
     got = None
     if plan.cut:
         got = _infoset_scan(plan.rows, n, ub, prime, plan.cut, _infoset_levels(n))
@@ -844,27 +854,13 @@ def _run(
     return kv, _relabel(km, plan.reps), pv, _relabel(pm, plan.reps)
 
 
-class _SharedScan:
-    """_kappa_pair's shared plan, and the kappa' that kappa's pass leaves here."""
-
-    __slots__ = ("graph", "plan", "kappa_prime")
-
-    def __init__(
-        self, graph: Graph, plan: _Plan, kappa_prime: tuple[int, int] | None = None
-    ) -> None:
-        self.graph = graph
-        self.plan = plan
-        self.kappa_prime = kappa_prime
-
-
-# _kappa_pair still answers through kappa() and kappa_prime(), so each
-# stays a call of its own for the callers that wrap or profile them
-_SHARED_SCAN: ContextVar[_SharedScan | None] = ContextVar("_SHARED_SCAN", default=None)
-
-
-def _shared_slot(g: Graph) -> _SharedScan | None:
-    shared = _SHARED_SCAN.get()
-    return shared if shared is not None and shared.graph is g else None
+# () while _kappa_pair runs, and then (g, kappa' value, mask) once kappa()
+# has run g's solve: _kappa_pair still answers through kappa() and
+# kappa_prime(), so each stays a call of its own for the callers that wrap
+# or profile them
+_KAPPA_PRIME_SLOT: ContextVar[tuple | None] = ContextVar(
+    "_KAPPA_PRIME_SLOT", default=None
+)
 
 
 def kappa(
@@ -888,16 +884,12 @@ def kappa(
     workers > 1 needs an `if __name__ == "__main__":` guard around its
     solves, or the call fails with RuntimeError.
     """
-    _check_order(g, cap)
-    shared = _shared_slot(g)
-    plan = shared.plan if shared is not None else _plan(g, engine, workers)
+    plan = _plan(g, engine, workers, cap)
     lo, ub = kappa_bounds(g)
-    if ub == 0:
-        return ExtremalResult(Quantity.KAPPA, 0, VertexSet.empty(g.n), (lo, ub))
-    fuse = shared is not None and plan.one_pass
-    best_v, best_m, pv, pm = _run(plan, g.n, ub, fuse, workers)
-    if fuse:
-        shared.kappa_prime = (pv, pm)
+    pair = _KAPPA_PRIME_SLOT.get() is not None
+    best_v, best_m, pv, pm = _run(plan, g.n, ub, pair, workers)
+    if pair:
+        _KAPPA_PRIME_SLOT.set((g, pv, pm))
     return ExtremalResult(Quantity.KAPPA, best_v, VertexSet(best_m, g.n), (lo, ub))
 
 
@@ -921,34 +913,33 @@ def kappa_prime(
     engine: str = "auto",
 ) -> ExtremalResult:
     """Exact kappa'(G) with the lexicographically smallest optimal witness D."""
-    _check_order(g, cap)
-    bounds = kappa_prime_bounds(g)
-    shared = _shared_slot(g)
-    if shared is not None and shared.kappa_prime is not None:
-        best_v, best_m = shared.kappa_prime
+    left = _KAPPA_PRIME_SLOT.get()
+    if left and left[0] is g:
+        # kappa(g)'s run under _kappa_pair, which planned with this cap
+        _, best_v, best_m = left
     else:
-        plan = shared.plan if shared is not None else _plan(g, engine)
+        plan = _plan(g, engine, None, cap)
         _, _, best_v, best_m = _run(plan, g.n, -1, True, None)
     return ExtremalResult(
-        Quantity.KAPPA_PRIME, best_v, VertexSet(best_m, g.n), bounds
+        Quantity.KAPPA_PRIME, best_v, VertexSet(best_m, g.n), kappa_prime_bounds(g)
     )
 
 
 def _kappa_pair(
     g: Graph, *, cap: int, engine: str, workers: int | None
 ) -> tuple[ExtremalResult, ExtremalResult]:
-    """kappa(g) and kappa_prime(g) from one plan, and one pass where they can.
+    """kappa(g) and kappa_prime(g) from one plan and one run of it.
 
-    A split serves both, and so does a kernel that both take; only here is
-    the pass shared: kappa fuses iff it finds g's slot and the plan allows.
+    The slot it sets tells kappa() to ask its run for kappa' too, and
+    kappa_prime(g) reads the value kappa() leaves there; the reset on the
+    way out, raise or return, leaves no value to a later call.
     """
-    _check_order(g, cap)
-    token = _SHARED_SCAN.set(_SharedScan(g, _plan(g, engine, workers)))
+    token = _KAPPA_PRIME_SLOT.set(())
     try:
         k = kappa(g, cap=cap, engine=engine, workers=workers)
         kp = kappa_prime(g, cap=cap, engine=engine)
     finally:
-        _SHARED_SCAN.reset(token)
+        _KAPPA_PRIME_SLOT.reset(token)
     return k, kp
 
 
@@ -961,9 +952,11 @@ def kappa_q(
 ) -> KappaQResult:
     """kappa_Q(G) = max(kappa(G), n - kappa'(G)), with both witnesses.
 
-    When kappa and kappa' both take the table kernel, one pass over its
-    blocks computes both; after kappa reaches its bound only the kappa'
-    reduction keeps running.
+    One plan serves both quantities, and one pass where the plan gives
+    them one kernel: a split's leaf profiles, the layered pass, the
+    information-set scan or the table.  On the table, after kappa reaches
+    its bound only the kappa' reduction keeps running.  Where the plan
+    gives them different kernels, kappa's runs first, then kappa''s.
     """
     k, kp = _kappa_pair(g, cap=cap, engine=engine, workers=workers)
     return KappaQResult(max(k.value, g.n - kp.value), k, kp)

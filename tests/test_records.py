@@ -26,7 +26,7 @@ from wodkit import (
     kappa_q,
 )
 from wodkit.fixtures import q3
-from wodkit.solvers import _Plan, _SharedScan, _plan
+from wodkit.solvers import _Plan
 
 VS = VertexSet(1, 3)
 K = ExtremalResult(Quantity.KAPPA, 2, VS, (1, 2))
@@ -127,12 +127,3 @@ def test_solver_results_round_trip():
     res = kappa_q(q3())
     assert pickle.loads(pickle.dumps(res)) == res
     assert copy.deepcopy(res) == res
-
-
-def test_shared_scan_stays_mutable():
-    g = q3()
-    shared = _SharedScan(g, _plan(g, "auto"))
-    assert shared.kappa_prime is None
-    shared.kappa_prime = (3, 1)
-    assert shared.kappa_prime == (3, 1)
-    assert not hasattr(shared, "__dict__")

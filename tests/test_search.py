@@ -160,6 +160,20 @@ class TestMinFeasibleC:
         with pytest.raises(ValueError):
             min_feasible_c(1e-2)
 
+    def test_no_feasible_c_raises(self, monkeypatch):
+        # a condition that stays positive leaves every c on the grid infeasible
+        calls = []
+
+        def infeasible(c, d):
+            calls.append(c)
+            return 1.0
+
+        monkeypatch.setattr(search, "lll_asymptotic_condition", infeasible)
+        with pytest.raises(RuntimeError, match="no feasible c"):
+            min_feasible_c()
+        # every c from 0.001 to 0.999 was tried, each ending at its first d
+        assert len(calls) == 999
+
 
 class TestProbabilityLowerBound:
     def test_n_one(self):

@@ -109,10 +109,19 @@ class TestKappa:
         assert kappa(q3()).value == 6
 
     def test_edgeless(self):
-        res = kappa(Graph.empty(4))
-        assert res.value == 0
-        assert res.witness.mask == 0
-        assert res.bounds_used == (0, 0)
+        # ub = 0: every kernel returns kappa = 0 at the empty set, alone and
+        # in kappa_q's run, and kappa' = 1 at the smallest vertex
+        for n in (1, 4, 21):
+            g = Graph.empty(n)
+            for engine in ("auto", "pure", "numpy"):
+                kp = kappa_prime(g, engine=engine)
+                assert (kp.value, kp.witness.mask, kp.bounds_used) == (1, 1, (1, 1))
+                for workers in (None, 2):
+                    res = kappa(g, engine=engine, workers=workers)
+                    assert (res.value, res.witness.mask, res.bounds_used) == (
+                        0, 0, (0, 0))
+                    q = kappa_q(g, engine=engine, workers=workers)
+                    assert (q.value, q.kappa, q.kappa_prime) == (n - 1, res, kp)
 
     def test_result_fields(self):
         res = kappa(cycle(5))
@@ -336,6 +345,46 @@ class TestKappaQ:
         assert res.quantity is Quantity.KAPPA_Q
         check_kappa_witness(g, res.kappa)
         check_kappa_prime_witness(g, res.kappa_prime)
+
+    def test_slot_serves_only_its_graph(self, monkeypatch):
+        # a wrapper of kappa, as perfbench's tracer installs, that solves
+        # kappa' of another graph before it returns: h gets its own kappa',
+        # and kappa_q(g) still gets g's from the run of kappa(g)
+        g, h = random_graph(12, 1), cycle(9)
+        want, want_h = solved(kappa_q(g)), kappa_prime(h)
+        assert (want_h.value, want_h.witness.mask) != want[3:]
+        real = solvers.kappa
+        seen = []
+
+        def wrapper(graph, **kwargs):
+            res = real(graph, **kwargs)
+            seen.append(kappa_prime(h))
+            return res
+
+        monkeypatch.setattr(solvers, "kappa", wrapper)
+        calls = spy_on_kernels(monkeypatch)
+        assert solved(kappa_q(g)) == want
+        assert seen == [want_h]
+        assert calls == ["layered fused", "layered kappa'"]
+
+    def test_raise_inside_kappa_leaves_no_slot(self, monkeypatch):
+        g = random_graph(12, 1)
+        want = kappa_prime(g)
+        real = solvers.kappa
+
+        def failing(graph, **kwargs):
+            real(graph, **kwargs)
+            raise RuntimeError("wrapper failed")
+
+        monkeypatch.setattr(solvers, "kappa", failing)
+        with pytest.raises(RuntimeError, match="wrapper failed"):
+            kappa_q(g)
+        monkeypatch.undo()
+        # the slot is reset: each later call runs its own solve
+        calls = spy_on_kernels(monkeypatch)
+        assert kappa_prime(g) == want
+        kappa(g)
+        assert calls == ["layered kappa'", "layered kappa"]
 
     def test_equals_max_over_complement(self):
         rng = random.Random(35)
