@@ -20,12 +20,14 @@ ranges of blocks to a pool of at most one process per core.
 
 The pure kernel stays here and needs no numpy: _layered_scan visits the
 subsets by cardinality, layer k = |C| = 1, 2, ..., and within a layer in
-ascending order.  Gosper's step to the next mask of a layer flips two runs
-of bits, and Odd is linear, so Odd of the next mask is Odd of this one
-XOR three prefix XORs of the rows: O(1) per mask, not O(k).  The paper's
-bounds s(C) <= n - |C| and |C u Odd(C)| >= |C| end it early: kappa needs
-only the layers k <= n - kappa and kappa' only the odd layers k <=
-kappa', so on G(n, 1/2) it visits a few per cent of the subsets.  A layer
+ascending order.  A mask there is an upper part of k - 1 vertices and a
+lowest vertex below them.  Gosper's step to the next upper part flips two
+runs of bits, and Odd is linear, so Odd of the next upper part is Odd of
+this one XOR three prefix XORs of the rows, and each lowest vertex XORs
+in its own row: O(1) per mask, not O(k).  The paper's bounds
+s(C) <= n - |C| and |C u Odd(C)| >= |C| end it early: kappa needs only
+the layers k <= n - kappa and kappa' only the odd layers k <= kappa', so
+on G(n, 1/2) it visits a few per cent of the subsets.  A layer
 k where kappa can no longer grow, because it has reached its degree bound
 or n - k, is scanned only below the best mask, for a smaller tie; the
 layer n - kappa is such a layer.  For kappa', the odd layer k = kappa'
@@ -201,8 +203,9 @@ def _check_cap(n: int, cap: int) -> None:
 # the whole-graph scan's per mask of its 2^r, over unions of two G(n, 1/2),
 # each weight over its own unions as leaves cost less a mask the larger
 # they are: 17 and 20 in two runs against the table at n + n' = 20..24
-# (18 against 1.0 ns), 3.9 and 4.3 against the pure scans at 13..18 (93
-# against 22 ns), on a 2.1 GHz Xeon
+# (18 against 1.0 ns), 4.2 and 4.5 against the pure scans at 13..18 (55
+# against 16 ns; kappa_q with the split forced, against engine="pure", over
+# 117 unions, 3 seeds for each n' from 2 up to n), on a 2.1 GHz Xeon
 _LEAF_COST = 20
 _LEAF_COST_PURE = 4
 
@@ -210,16 +213,22 @@ _LEAF_COST_PURE = 4
 class _Plan(Record):
     """How a solve of g runs: a split, or the kernels over g's twin rows.
 
-    With split set, kappa and kappa' come from its profile, and rows and
-    reps stay empty; otherwise kappa_table and prime_table say which of
-    them take the table kernel over rows, and the others take the layered
-    scan.  With cut set, both take _infoset_scan over that cut first, and
-    the table where it hands the solve on.
+    bounds and prime_bounds are kappa_bounds(g) and kappa_prime_bounds(g),
+    taken once per solve.  With split set, kappa and kappa' come from its
+    profile, and rows and reps stay empty; otherwise kappa_table and
+    prime_table say which of them take the table kernel over rows, and the
+    others take the layered scan.  With cut set, both take _infoset_scan
+    over that cut first, and the table where it hands the solve on.
     """
 
-    __slots__ = ("rows", "reps", "kappa_table", "prime_table", "split", "cut")
+    __slots__ = (
+        "rows", "reps", "bounds", "prime_bounds",
+        "kappa_table", "prime_table", "split", "cut",
+    )
     rows: tuple[int, ...]
     reps: tuple[int, ...]
+    bounds: tuple[int, int]
+    prime_bounds: tuple[int, int]
     kappa_table: bool
     prime_table: bool
     split: tuple | None
@@ -229,6 +238,8 @@ class _Plan(Record):
         self,
         rows: tuple[int, ...],
         reps: tuple[int, ...],
+        bounds: tuple[int, int],
+        prime_bounds: tuple[int, int],
         kappa_table: bool = False,
         prime_table: bool = False,
         split: tuple | None = None,
@@ -236,6 +247,8 @@ class _Plan(Record):
     ) -> None:
         _set(self, "rows", rows)
         _set(self, "reps", reps)
+        _set(self, "bounds", bounds)
+        _set(self, "prime_bounds", prime_bounds)
         _set(self, "kappa_table", kappa_table)
         _set(self, "prime_table", prime_table)
         _set(self, "split", split)
@@ -271,6 +284,7 @@ def _plan(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
+    bounds, prime_bounds = kappa_bounds(g), kappa_prime_bounds(g)
     rows, reps = _twin_rows(g.adj, (1 << g.n) - 1, False, [0] * g.n)
     r = len(reps)
     # two leaves of 2 masks or more, weighed at the lighter _LEAF_COST_PURE,
@@ -278,30 +292,31 @@ def _plan(
     if engine == "auto" and _LEAF_COST_PURE * 4 < 1 << r:
         split = _split(g.adj, _LEAF_COST if r >= 20 else _LEAF_COST_PURE, 1 << r)
         if split is not None:
-            return _Plan((), (), split=split)
+            return _Plan((), (), bounds, prime_bounds, split=split)
     rows = tuple(rows)
     if engine != "auto":
         k = kp = engine == "numpy"
-    elif (workers or 1) == 1 and r == g.n and (cut := _infoset_cut(g)):
-        return _Plan(rows, reps, True, True, cut=cut)
+    elif (workers or 1) == 1 and r == g.n and (cut := _infoset_cut(g, bounds[1])):
+        return _Plan(rows, reps, bounds, prime_bounds, True, True, cut=cut)
     else:
         k = r >= 20
-        kp = _layered_cost(r, min_degree(g)) > 2_000_000
-    return _Plan(rows, reps, k or (workers or 1) > 1, kp)
+        # kappa''s upper bound is the minimum degree plus one
+        kp = _layered_cost(r, prime_bounds[1] - 1) > 2_000_000
+    return _Plan(rows, reps, bounds, prime_bounds, k or (workers or 1) > 1, kp)
 
 
-def _infoset_cut(g: Graph) -> int:
+def _infoset_cut(g: Graph, ub: int) -> int:
     """A cut for _infoset_scan over the rows of g, which has no twins.
 
     0 below order _INFOSET_MIN_ORDER, at odd order, where _find_cut finds
-    none, and where the degree bound already asks for more levels than
-    _infoset_levels: n - kappa >= n - ub takes the levels up to
+    none, and where kappa's degree bound ub already asks for more levels
+    than _infoset_levels: n - kappa >= n - ub takes the levels up to
     (n - ub) // 2.  Sparse graphs stop there, such as C24 (ub = 16).
     """
     n = g.n
     if n & 1 or n < _INFOSET_MIN_ORDER:
         return 0
-    if (n - kappa_bounds(g)[1]) // 2 > _infoset_levels(n):
+    if (n - ub) // 2 > _infoset_levels(n):
         return 0
     return _find_cut(g.adj)
 
@@ -399,7 +414,7 @@ def _layered_scan(
     """(kappa value, mask, kappa' value, mask) over the subsets of the rows adj.
 
     One pass visits the layers |C| = k = 1, 2, ... and, within a layer, the
-    masks in ascending Gosper order, and computes w = |C u Odd(C)| once per
+    masks in ascending order, and computes w = |C u Odd(C)| once per
     mask; n is the width of Odd.  kappa is the maximum of s = w - k, and
     kappa' the minimum of w over odd k.  Each keeps the smallest mask among
     its optima, so a tie across layers goes to the smaller mask.  ub = -1
@@ -413,16 +428,23 @@ def _layered_scan(
     six values.  _twin_rows' proof covers all three optima: removing a twin
     pair keeps the parity of |C|, and leaves the empty set only if it is even.
 
-    Odd costs O(1) per mask.  With u = m & -m the low bit of m, at t, the
-    carry of v = m + u lands on bit h, the low bit of v (not its top bit).
-    Gosper's step (HAKMEM item 175) clears bits t..h-1, sets bit h and then
-    sets the low run low = 2^(h-t-1) - 1, which is ((m ^ v) >> 2) // u, as
-    m ^ v holds bits t..h; the next mask is v | low.  Odd is linear, so
-    with pre[i] = adj[0] ^ ... ^ adj[i-1], Odd of that mask is
-    Odd(m) ^ pre[h+1] ^ pre[t] ^ pre[h-t-1]; h + 1 and h - t - 1 are the
-    bit lengths of v & -v and of low, and t + 1 is u's.  Each layer starts
-    at 2^k - 1, where Odd is pre[k], and v >= 2^r means its last mask is
-    past.
+    Odd costs O(1) per mask.  A mask of layer k is an upper part, k - 1
+    vertices of 1..r-1, and a lowest vertex i below the upper part's own
+    lowest, j.  The masks ascend as the upper parts do, and under one as i
+    does, so Gosper's step runs once per upper part, and its j masks are a
+    flat loop over lows[:j], the pairs (2^i, adj[i]) for i < j:
+    Odd(upper | 2^i) = Odd(upper) ^ adj[i], so a mask costs two ORs, one
+    XOR and a popcount.  Layer 1's one upper part is empty, with every
+    vertex below it: j = r.  With u = 2^j the low bit of the upper part
+    and h the low bit of v = upper + u (not its top bit), Gosper's step
+    (HAKMEM item 175) clears bits j..h-1, sets bit h and sets low, the
+    bits 1..h-j-1 above vertex 0, which is ((upper ^ v) >> 2) // u << 1,
+    as upper ^ v holds bits j..h; the next upper part is v | low.  Odd is
+    linear, so with pre[i] = adj[1] ^ ... ^ adj[i-1], Odd of that part is
+    Odd(upper) ^ pre[h+1] ^ pre[j] ^ pre[h-j]; h + 1 and h - j are the bit
+    lengths of v & -v and of low, which is 0 where low is empty, and
+    pre[0] = pre[1] = 0.  Each layer's first upper part is 2^k - 2, where
+    Odd is pre[k], and v >= 2^r means its last mask is past.
 
     As s <= n - k and w >= k, kappa scans the layers k <= n - kv and
     kappa' the odd layers k <= pv, for the best values kv and pv so far,
@@ -439,7 +461,8 @@ def _layered_scan(
     """
     r = len(adj)
     limit = 1 << r
-    pre = [0, *_neighbor_prefix(adj)]
+    pre = [0, 0, *_neighbor_prefix(adj[1:])]
+    lows = [(1 << i, row) for i, row in enumerate(adj)]
     # kappa's [value, mask, still scanning] for even and for odd k: one
     # list for both without parity, so each prunes by the overall maximum
     state = [0, 0, True] if ub >= 0 else [-1, 0, False]
@@ -460,30 +483,35 @@ def _layered_scan(
                 kstop, kw = limit if kv < cap else km, kv + k
         if prime and k & 1 and k <= pv:
             pstop, pw = (limit if k < pv else pm), pv
-        m, odd, stop = first, pre[k], max(kstop, pstop)
-        while m < stop:
-            w = (m | odd).bit_count()
-            if w >= kw and (w - k > kv or m < km):
-                # later masks of this layer are larger: only a gain counts
-                kv, km, kw = w - k, m, w + 1
-                if kv == cap:
-                    kstop = 0
-                    stop = pstop
-            if w <= pw and (w < pv or m < pm):
-                pv, pm, pw = w, m, w - 1
-                if w == k:
-                    pstop = 0
-                    stop = kstop
-            u = m & -m
-            v = m + u
-            if v >= limit:
+        upper, odd, stop = first ^ 1, pre[k], max(kstop, pstop)
+        # layer 1's step from its one, empty, upper part gives v = 0
+        top = limit if k > 1 else 0
+        while True:
+            u = upper & -upper
+            j = u.bit_length() - 1 if upper else r
+            for bit, row in lows[:j]:
+                m = upper | bit
+                if m >= stop:
+                    break
+                w = (m | odd ^ row).bit_count()
+                if w >= kw and (w - k > kv or m < km):
+                    # later masks of this layer are larger: only a gain counts
+                    kv, km, kw = w - k, m, w + 1
+                    if kv == cap:
+                        kstop = 0
+                        stop = pstop
+                if w <= pw and (w < pv or m < pm):
+                    pv, pm, pw = w, m, w - 1
+                    if w == k:
+                        pstop = 0
+                        stop = kstop
+            # the next upper part's masks all lie past m
+            v = upper + u
+            if m >= stop or v >= top:
                 break
-            low = ((m ^ v) >> 2) // u
-            odd ^= (
-                pre[(v & -v).bit_length()] ^ pre[u.bit_length() - 1]
-                ^ pre[low.bit_length()]
-            )
-            m = v | low
+            low = ((upper ^ v) >> 2) // u << 1
+            odd ^= pre[(v & -v).bit_length()] ^ pre[j] ^ pre[low.bit_length()]
+            upper = v | low
         state[:] = kv, km, kappa_on
     (ev, em, _), (ov, om, _) = states
     return (ev, em, ov, om, pv, pm) if parity else (ev, em, pv, pm)
@@ -854,8 +882,8 @@ def _run(
     return kv, _relabel(km, plan.reps), pv, _relabel(pm, plan.reps)
 
 
-# () while _kappa_pair runs, and then (g, kappa' value, mask) once kappa()
-# has run g's solve: _kappa_pair still answers through kappa() and
+# () while _kappa_pair runs, and then (g, kappa' result) once kappa() has
+# run g's solve: _kappa_pair still answers through kappa() and
 # kappa_prime(), so each stays a call of its own for the callers that wrap
 # or profile them
 _KAPPA_PRIME_SLOT: ContextVar[tuple | None] = ContextVar(
@@ -885,12 +913,13 @@ def kappa(
     solves, or the call fails with RuntimeError.
     """
     plan = _plan(g, engine, workers, cap)
-    lo, ub = kappa_bounds(g)
     pair = _KAPPA_PRIME_SLOT.get() is not None
-    best_v, best_m, pv, pm = _run(plan, g.n, ub, pair, workers)
+    best_v, best_m, pv, pm = _run(plan, g.n, plan.bounds[1], pair, workers)
     if pair:
-        _KAPPA_PRIME_SLOT.set((g, pv, pm))
-    return ExtremalResult(Quantity.KAPPA, best_v, VertexSet(best_m, g.n), (lo, ub))
+        _KAPPA_PRIME_SLOT.set((g, ExtremalResult(
+            Quantity.KAPPA_PRIME, pv, VertexSet(pm, g.n), plan.prime_bounds
+        )))
+    return ExtremalResult(Quantity.KAPPA, best_v, VertexSet(best_m, g.n), plan.bounds)
 
 
 def _layered_cost(n: int, delta: int) -> int:
@@ -916,12 +945,11 @@ def kappa_prime(
     left = _KAPPA_PRIME_SLOT.get()
     if left and left[0] is g:
         # kappa(g)'s run under _kappa_pair, which planned with this cap
-        _, best_v, best_m = left
-    else:
-        plan = _plan(g, engine, None, cap)
-        _, _, best_v, best_m = _run(plan, g.n, -1, True, None)
+        return left[1]
+    plan = _plan(g, engine, None, cap)
+    _, _, best_v, best_m = _run(plan, g.n, -1, True, None)
     return ExtremalResult(
-        Quantity.KAPPA_PRIME, best_v, VertexSet(best_m, g.n), kappa_prime_bounds(g)
+        Quantity.KAPPA_PRIME, best_v, VertexSet(best_m, g.n), plan.prime_bounds
     )
 
 

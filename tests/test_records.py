@@ -46,15 +46,15 @@ CASES = [
      "bounds_used=(1, 2)), kappa_prime=ExtremalResult(quantity="
      "<Quantity.KAPPA_PRIME: 'kappa_prime'>, value=1, witness=VertexSet("
      "mask=4, universe=3), bounds_used=(2, 2)))"),
-    (_Plan((1, 2), (0, 1)),
-     "_Plan(rows=(1, 2), reps=(0, 1), kappa_table=False, prime_table=False, "
-     "split=None, cut=0)"),
-    (_Plan((), (), split=(2, False, (0, 1))),
-     "_Plan(rows=(), reps=(), kappa_table=False, prime_table=False, "
-     "split=(2, False, (0, 1)), cut=0)"),
-    (_Plan((1, 2), (0, 1), True, True, cut=1),
-     "_Plan(rows=(1, 2), reps=(0, 1), kappa_table=True, prime_table=True, "
-     "split=None, cut=1)"),
+    (_Plan((1, 2), (0, 1), (1, 1), (2, 2)),
+     "_Plan(rows=(1, 2), reps=(0, 1), bounds=(1, 1), prime_bounds=(2, 2), "
+     "kappa_table=False, prime_table=False, split=None, cut=0)"),
+    (_Plan((), (), (1, 1), (2, 2), split=(2, False, (0, 1))),
+     "_Plan(rows=(), reps=(), bounds=(1, 1), prime_bounds=(2, 2), "
+     "kappa_table=False, prime_table=False, split=(2, False, (0, 1)), cut=0)"),
+    (_Plan((1, 2), (0, 1), (1, 1), (2, 2), True, True, cut=1),
+     "_Plan(rows=(1, 2), reps=(0, 1), bounds=(1, 1), prime_bounds=(2, 2), "
+     "kappa_table=True, prime_table=True, split=None, cut=1)"),
     (PerfectCode(VS), "PerfectCode(code=VertexSet(mask=1, universe=3))"),
     (LLLParams(100, 0.5, 0.1, 4.0), "LLLParams(n=100, c=0.5, d=0.1, r=4.0)"),
     (TrialReport(0, 1, 4, 2, 3, 2, 0.5, 0.25),

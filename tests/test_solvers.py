@@ -842,6 +842,64 @@ class TestLayeredScan:
         for rows, cols in ((3, 6), (3, 7), (4, 5)):
             check_layered(grid(rows, cols))
 
+    def test_edges_of_the_flat_run(self):
+        # a mask of layer k is an upper part of k - 1 vertices and a lowest
+        # vertex below it, walked in a flat run.  Each graph goes through
+        # the fused, kappa-only and kappa'-only (ub = -1) passes over its
+        # rows and, where given, its twin rows, and the parity passes
+        scan = solvers._layered_scan
+        cases = []
+        # k = 1: the upper part is empty, and one run covers all r vertices;
+        # both witnesses are its last two, the star's centre 5 and vertex 6
+        g = Graph.from_edges(7, [(v, 5) for v in range(5)])
+        assert scan(g.adj, 7, 5, True) == (5, 1 << 5, 1, 1 << 6)
+        assert scan(g.adj, 7, -1, True) == (-1, 0, 1, 1 << 6)
+        assert scan(g.adj, 7, 5, True, True)[:2] == (5, 0b1100000)
+        cases.append((g, None))
+        # k = r: over the twin rows of G_{2,3} and G_{2,5}, kappa''s witness
+        # is every class, the one mask of the last layer
+        for q in (3, 5):
+            g = complete_multipartite(2, q)
+            rows = twin_rows(g.adj)[0]
+            assert len(rows) == q
+            assert scan(rows, g.n, -1, True) == (-1, 0, q, (1 << q) - 1)
+            cases.append((g, rows))
+        # r = 1 and r = 2: the edgeless graphs, K2, whose two vertices are
+        # true twins, and K_{3,4}, whose twin rows are its two sides
+        k34 = Graph.from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
+        for g in (Graph.empty(1), Graph.empty(2), Graph.from_edges(2, [(0, 1)]), k34):
+            cases += [(g, None), (g, twin_rows(g.adj)[0])]
+        # a stop at the first mask of an upper part: with parity, the odd
+        # maximum 2 is met at {3} in layer 1 and reaches n - k = 2 in layer
+        # 3, which is then scanned only below 0b1000; its smaller tie
+        # {0, 1, 2} is the one mask of the upper part {1, 2}, and the next
+        # upper part's first mask, 0b1011, is past the stop
+        g = Graph.from_edges(5, [(0, 4), (1, 3), (3, 4)])
+        assert scan(g.adj, 5, 3, True, True)[2:4] == (2, 0b111)
+        cases.append((g, None))
+        # the same for kappa' = 3, met at {3} and tied by {0, 1, 2}
+        g = Graph.from_edges(
+            5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)]
+        )
+        assert scan(g.adj, 5, -1, True) == (-1, 0, 3, 0b111)
+        cases.append((g, None))
+        # a stop in the middle of a run: on the edgeless graph of order 2,
+        # {0} has |D u Odd(D)| = 1 = |D|, which ends layer 1 before {1}.  On
+        # the edge 1-2 and vertex 0, {0} does so for kappa', and kappa then
+        # reaches its bound 1 at {1}, which ends the run before {2}.  On the
+        # edge 0-1 and vertex 2, with parity, the even maximum reaches 1 at
+        # {0, 2}, which ends layer 2 before {1, 2}, in the same run
+        assert scan((0, 0), 2, -1, True) == (-1, 0, 1, 0b1)
+        g = Graph.from_edges(3, [(1, 2)])
+        assert scan(g.adj, 3, 1, True) == (1, 0b10, 1, 0b1)
+        cases.append((g, None))
+        g = Graph.from_edges(3, [(0, 1)])
+        assert scan(g.adj, 3, 1, True, True) == (1, 0b101, 1, 0b1, 1, 0b100)
+        cases.append((g, None))
+        for g, rows in cases:
+            check_layered(g, rows)
+            check_profile(g)
+
     def test_parity_profile(self):
         # the profile a split leaf takes
         for n in range(1, 7):
